@@ -49,11 +49,13 @@
 //                  falls below its floor, or if the cold path regresses
 //                  >tolerance against the cache-off time.
 //   * oracle     — the equivalence-oracle shootout: multiplier circuits
-//                  (the BDD-hostile workload) decomposed once, then the
-//                  result signed off by the SAT engine and — where the
-//                  monolithic BDD is still tractable — by the BDD engine,
-//                  with per-circuit wall times, fraiging telemetry, and a
-//                  verdict fingerprint (equivalent/exact per circuit).
+//                  (the BDD-hostile workload) and the narrow Rev 15 row
+//                  decomposed once, then the result signed off by the SAT
+//                  engine, — where the monolithic BDD is still tractable —
+//                  by the BDD engine, and at <= 20 inputs by exhaustive
+//                  simulation, with per-circuit wall times, sweep
+//                  telemetry, and a verdict fingerprint (equivalent/exact
+//                  per circuit).
 //                  tools/ci.sh fails on verdict drift and on a >tolerance
 //                  SAT wall-time regression.
 //   * exact_sat  — SAT-based exact synthesis of 5-6 input cones: direct
@@ -803,7 +805,8 @@ ConeCacheBenchResult bench_cone_cache(bool smoke) {
 }
 
 // ---------------------------------------------------------------------------
-// Equivalence-oracle shootout: SAT vs BDD sign-off on multiplier circuits.
+// Equivalence-oracle shootout: SAT vs BDD sign-off on multiplier circuits,
+// plus exhaustive simulation on a narrow row.
 // ---------------------------------------------------------------------------
 
 struct OracleEntry {
@@ -811,6 +814,7 @@ struct OracleEntry {
     int inputs = 0;
     double sat_seconds = 0;
     double bdd_seconds = -1;  ///< -1: monolithic BDD intractable, not run
+    double exhaustive_seconds = -1;  ///< -1: too wide to enumerate, not run
     bool equivalent = false;  ///< fingerprint (with `exact`): ci.sh gates drift
     bool exact = false;
     std::uint64_t proved_internal = 0;  ///< fraiging cut-points (telemetry)
@@ -823,7 +827,10 @@ std::vector<OracleEntry> bench_oracle(bool smoke) {
     // old sign-off silently downgraded to random simulation above 26
     // inputs. bdd_feasible marks the widths where building the global BDD
     // is still tractable, so the shootout records a direct head-to-head
-    // there and an honest "not run" elsewhere.
+    // there and an honest "not run" elsewhere. Rev (1/X) at 15 bits is the
+    // narrow row: within reach of all three exact engines, and the reason
+    // `auto` proves narrow circuits by exhaustive simulation — its global
+    // BDD costs seconds where enumerating 2^15 patterns costs milliseconds.
     struct Case {
         const char* name;
         net::Network network;
@@ -839,6 +846,7 @@ std::vector<OracleEntry> bench_oracle(bool smoke) {
         cases.push_back({"wallace16", benchgen::make_wallace_multiplier(16), false});
         cases.push_back({"C6288", benchgen::make_c6288(), false});
     }
+    cases.push_back({"rev15", benchgen::make_reciprocal(15), true});
     std::vector<OracleEntry> out;
     for (Case& c : cases) {
         const decomp::DecompFlowResult d = decomp::run_bdsmaj(c.network);
@@ -863,6 +871,12 @@ std::vector<OracleEntry> bench_oracle(bool smoke) {
             // Both engines must agree; a disagreement is a verdict-drift
             // failure downstream in ci.sh (fingerprint stores the SAT
             // verdict, so poison it here).
+            if (eq.equivalent != entry.equivalent) entry.equivalent = false;
+        }
+        if (entry.inputs <= net::CecParams{}.exhaustive_input_limit) {
+            const auto start = Clock::now();
+            const net::EquivalenceResult eq = net::exhaustive_equivalent(c.network, d.network);
+            entry.exhaustive_seconds = seconds_since(start);
             if (eq.equivalent != entry.equivalent) entry.equivalent = false;
         }
         out.push_back(std::move(entry));
@@ -1270,18 +1284,18 @@ int main(int argc, char** argv) {
                 smoke ? " (smoke widths)" : "");
     const std::vector<OracleEntry> oracle = bench_oracle(smoke);
     for (const OracleEntry& o : oracle) {
+        std::printf("  %-10s %2d inputs: SAT %7.1f ms, ", o.name.c_str(), o.inputs,
+                    o.sat_seconds * 1e3);
         if (o.bdd_seconds >= 0) {
-            std::printf("  %-10s %2d inputs: SAT %7.1f ms, BDD %8.1f ms "
-                        "(%.1fx), %s\n",
-                        o.name.c_str(), o.inputs, o.sat_seconds * 1e3,
-                        o.bdd_seconds * 1e3, o.bdd_seconds / o.sat_seconds,
-                        o.equivalent && o.exact ? "proved" : "FAILED");
+            std::printf("BDD %8.1f ms (%.1fx), ", o.bdd_seconds * 1e3,
+                        o.bdd_seconds / o.sat_seconds);
         } else {
-            std::printf("  %-10s %2d inputs: SAT %7.1f ms, BDD intractable, "
-                        "%s\n",
-                        o.name.c_str(), o.inputs, o.sat_seconds * 1e3,
-                        o.equivalent && o.exact ? "proved" : "FAILED");
+            std::printf("BDD intractable, ");
         }
+        if (o.exhaustive_seconds >= 0) {
+            std::printf("exhaustive %6.1f ms, ", o.exhaustive_seconds * 1e3);
+        }
+        std::printf("%s\n", o.equivalent && o.exact ? "proved" : "FAILED");
     }
 
     std::printf("bench_core: exact SAT synthesis (5-6 var cones)...\n");
@@ -1525,9 +1539,11 @@ int main(int argc, char** argv) {
             std::fprintf(f,
                          "      {\"name\": \"%s\", \"inputs\": %d, "
                          "\"sat_seconds\": %.4f, \"bdd_seconds\": %.4f, "
+                         "\"exhaustive_seconds\": %.4f, "
                          "\"proved_internal\": %llu, \"sat_calls\": %llu, "
                          "\"fingerprint\": {\"equivalent\": %s, \"exact\": %s}}%s\n",
                          o.name.c_str(), o.inputs, o.sat_seconds, o.bdd_seconds,
+                         o.exhaustive_seconds,
                          static_cast<unsigned long long>(o.proved_internal),
                          static_cast<unsigned long long>(o.sat_calls),
                          o.equivalent ? "true" : "false",

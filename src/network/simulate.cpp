@@ -1,5 +1,6 @@
 #include "network/simulate.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <sstream>
 #include <stdexcept>
@@ -12,6 +13,7 @@ const char* equiv_engine_name(EquivEngine engine) {
         case EquivEngine::kBdd: return "bdd";
         case EquivEngine::kSat: return "sat";
         case EquivEngine::kSim: return "sim";
+        case EquivEngine::kExhaustive: return "exhaustive";
     }
     return "?";
 }
@@ -83,36 +85,68 @@ EquivalenceResult shape_mismatch(std::string reason, EquivEngine engine) {
 void simulate_words_into(const Network& network, const std::vector<NodeId>& order,
                          const std::vector<std::uint64_t>& pi_words,
                          std::vector<std::uint64_t>& value,
-                         std::vector<std::uint64_t>& fanin_words) {
-    value.assign(network.node_count(), 0);
-    for (std::size_t i = 0; i < pi_words.size(); ++i) {
-        value[network.inputs()[i]] = pi_words[i];
+                         std::vector<std::uint64_t>& scratch, std::size_t words) {
+    value.resize(network.node_count() * words);  // no clearing: see the header
+    for (std::size_t i = 0; i < network.inputs().size(); ++i) {
+        std::copy_n(pi_words.begin() + static_cast<std::ptrdiff_t>(i * words), words,
+                    value.begin() + static_cast<std::ptrdiff_t>(network.inputs()[i] * words));
     }
+    std::uint64_t* const base = value.data();
     for (const NodeId id : order) {
         const Node& n = network.node(id);
-        const auto in = [&](std::size_t k) { return value[n.fanins[k]]; };
+        std::uint64_t* const out = base + static_cast<std::size_t>(id) * words;
+        const auto in = [&](std::size_t k) {
+            return base + static_cast<std::size_t>(n.fanins[k]) * words;
+        };
+        // One loop per kind: the word loops are what the compiler
+        // vectorizes on exhaustive blocks.
+        const auto map1 = [&](auto op) {
+            const std::uint64_t* x = in(0);
+            for (std::size_t w = 0; w < words; ++w) out[w] = op(x[w]);
+        };
+        const auto map2 = [&](auto op) {
+            const std::uint64_t* x = in(0);
+            const std::uint64_t* y = in(1);
+            for (std::size_t w = 0; w < words; ++w) out[w] = op(x[w], y[w]);
+        };
+        const auto map3 = [&](auto op) {
+            const std::uint64_t* x = in(0);
+            const std::uint64_t* y = in(1);
+            const std::uint64_t* z = in(2);
+            for (std::size_t w = 0; w < words; ++w) out[w] = op(x[w], y[w], z[w]);
+        };
+        using W = std::uint64_t;
         switch (n.kind) {
             case GateKind::kInput: break;
-            case GateKind::kConst0: value[id] = 0; break;
-            case GateKind::kConst1: value[id] = ~std::uint64_t{0}; break;
-            case GateKind::kBuf: value[id] = in(0); break;
-            case GateKind::kNot: value[id] = ~in(0); break;
-            case GateKind::kAnd: value[id] = in(0) & in(1); break;
-            case GateKind::kOr: value[id] = in(0) | in(1); break;
-            case GateKind::kNand: value[id] = ~(in(0) & in(1)); break;
-            case GateKind::kNor: value[id] = ~(in(0) | in(1)); break;
-            case GateKind::kXor: value[id] = in(0) ^ in(1); break;
-            case GateKind::kXnor: value[id] = ~(in(0) ^ in(1)); break;
+            case GateKind::kConst0: std::fill_n(out, words, W{0}); break;
+            case GateKind::kConst1: std::fill_n(out, words, ~W{0}); break;
+            case GateKind::kBuf: map1([](W x) { return x; }); break;
+            case GateKind::kNot: map1([](W x) { return ~x; }); break;
+            case GateKind::kAnd: map2([](W x, W y) { return x & y; }); break;
+            case GateKind::kOr: map2([](W x, W y) { return x | y; }); break;
+            case GateKind::kNand: map2([](W x, W y) { return ~(x & y); }); break;
+            case GateKind::kNor: map2([](W x, W y) { return ~(x | y); }); break;
+            case GateKind::kXor: map2([](W x, W y) { return x ^ y; }); break;
+            case GateKind::kXnor: map2([](W x, W y) { return ~(x ^ y); }); break;
             case GateKind::kMaj:
-                value[id] = (in(0) & in(1)) | (in(1) & in(2)) | (in(0) & in(2));
+                map3([](W x, W y, W z) { return (x & y) | (y & z) | (x & z); });
                 break;
             case GateKind::kMux:
-                value[id] = (in(0) & in(1)) | (~in(0) & in(2));
+                map3([](W s, W t, W e) { return (s & t) | (~s & e); });
                 break;
             case GateKind::kSop: {
-                fanin_words.clear();
-                for (const NodeId f : n.fanins) fanin_words.push_back(value[f]);
-                value[id] = n.sop.eval_words(fanin_words);
+                std::fill_n(out, words, W{0});
+                scratch.resize(words);
+                for (const Cube& cube : n.sop.cubes()) {
+                    std::fill_n(scratch.begin(), words, ~W{0});
+                    for (std::size_t k = 0; k < cube.lits.size(); ++k) {
+                        if (cube.lits[k] == Lit::kDash) continue;
+                        const W flip = cube.lits[k] == Lit::kNeg ? ~W{0} : 0;
+                        const std::uint64_t* x = in(k);
+                        for (std::size_t w = 0; w < words; ++w) scratch[w] &= x[w] ^ flip;
+                    }
+                    for (std::size_t w = 0; w < words; ++w) out[w] |= scratch[w];
+                }
                 break;
             }
         }
@@ -125,8 +159,8 @@ std::vector<std::uint64_t> simulate_words(const Network& network,
         throw std::invalid_argument("simulate_words: stimulus count != PI count");
     }
     const std::vector<NodeId> order = network.topo_order();
-    std::vector<std::uint64_t> value, fanin_words;
-    simulate_words_into(network, order, pi_words, value, fanin_words);
+    std::vector<std::uint64_t> value, scratch;
+    simulate_words_into(network, order, pi_words, value, scratch);
     std::vector<std::uint64_t> out;
     out.reserve(network.outputs().size());
     for (const OutputPort& po : network.outputs()) out.push_back(value[po.driver]);
@@ -158,11 +192,11 @@ EquivalenceResult random_equivalent(const Network& a, const Network& b, int roun
     // buffers; outputs are compared in place.
     const std::vector<NodeId> order_a = a.topo_order();
     const std::vector<NodeId> order_b = b.topo_order();
-    std::vector<std::uint64_t> value_a, value_b, fanin_words;
+    std::vector<std::uint64_t> value_a, value_b, scratch;
     for (int round = 0; round < rounds; ++round) {
         for (auto& w : stimulus) w = rng();
-        simulate_words_into(a, order_a, stimulus, value_a, fanin_words);
-        simulate_words_into(b, order_b, stimulus, value_b, fanin_words);
+        simulate_words_into(a, order_a, stimulus, value_a, scratch);
+        simulate_words_into(b, order_b, stimulus, value_b, scratch);
         for (std::size_t o = 0; o < a.outputs().size(); ++o) {
             const std::uint64_t diff = value_a[a.outputs()[o].driver] ^
                                        value_b[b.outputs()[o].driver];
@@ -182,6 +216,64 @@ EquivalenceResult random_equivalent(const Network& a, const Network& b, int roun
     r.equivalent = true;
     r.exact = false;  // sampled agreement only — never a proof
     r.engine = EquivEngine::kSim;
+    return r;
+}
+
+EquivalenceResult exhaustive_equivalent(const Network& a, const Network& b) {
+    if (a.inputs().size() != b.inputs().size()) {
+        return shape_mismatch("input counts differ", EquivEngine::kExhaustive);
+    }
+    if (a.outputs().size() != b.outputs().size()) {
+        return shape_mismatch("output counts differ", EquivEngine::kExhaustive);
+    }
+    const std::size_t n = a.inputs().size();
+    if (n > 40) {
+        throw std::invalid_argument("exhaustive_equivalent: " + std::to_string(n) +
+                                    " inputs is beyond exhaustive enumeration");
+    }
+    // Pattern p = 64 * word + bit: inputs 0-5 read the bit index (the
+    // projection words), inputs 6.. read the word index. Below six inputs
+    // the single word repeats the 2^n patterns, which is harmless.
+    static constexpr std::uint64_t kProjection[6] = {
+        0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
+        0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL};
+    constexpr std::uint64_t kBlockWords = 64;
+    const std::uint64_t total_words = n <= 6 ? 1 : std::uint64_t{1} << (n - 6);
+    const std::size_t words = static_cast<std::size_t>(std::min(total_words, kBlockWords));
+
+    const std::vector<NodeId> order_a = a.topo_order();
+    const std::vector<NodeId> order_b = b.topo_order();
+    std::vector<std::uint64_t> stimulus(n * words), value_a, value_b, scratch;
+    for (std::uint64_t first = 0; first < total_words; first += words) {
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t w = 0; w < words; ++w) {
+                stimulus[i * words + w] =
+                    i < 6 ? kProjection[i]
+                          : ((((first + w) >> (i - 6)) & 1) != 0 ? ~std::uint64_t{0} : 0);
+            }
+        }
+        simulate_words_into(a, order_a, stimulus, value_a, scratch, words);
+        simulate_words_into(b, order_b, stimulus, value_b, scratch, words);
+        for (std::size_t o = 0; o < a.outputs().size(); ++o) {
+            const std::uint64_t* va = &value_a[a.outputs()[o].driver * words];
+            const std::uint64_t* vb = &value_b[b.outputs()[o].driver * words];
+            for (std::size_t w = 0; w < words; ++w) {
+                const std::uint64_t diff = va[w] ^ vb[w];
+                if (diff == 0) continue;
+                const std::uint64_t p = (first + w) * 64 + static_cast<std::uint64_t>(
+                                                              std::countr_zero(diff));
+                std::vector<bool> pattern(n);
+                for (std::size_t i = 0; i < n; ++i) pattern[i] = ((p >> i) & 1) != 0;
+                return verified_counterexample(a, b, static_cast<int>(o),
+                                               std::move(pattern), "exhaustive",
+                                               EquivEngine::kExhaustive);
+            }
+        }
+    }
+    EquivalenceResult r;
+    r.equivalent = true;
+    r.exact = true;
+    r.engine = EquivEngine::kExhaustive;
     return r;
 }
 

@@ -1,14 +1,18 @@
 #pragma once
 // Network simulation and equivalence checking.
 //
-// Three complementary engines:
+// Four complementary engines:
 //   * 64-way bit-parallel random simulation (fast falsification on any size)
-//   * exact equivalence through shared-manager BDD construction (tiny
-//     input counts only — the global BDD of a multiplier is intrinsically
-//     exponential)
-//   * the simulation-guided SAT oracle (network/cec.hpp): CNF miters over
-//     an in-repo CDCL solver, exact at any input count — the default
-//     sign-off used by every flow, test, and bench in this repo.
+//   * exhaustive simulation: every one of the 2^n input patterns, a block
+//     of 64-pattern words at a time — the exact proof kAuto uses on narrow
+//     circuits (n <= 20), where it costs milliseconds whatever the
+//     network's BDD size
+//   * exact equivalence through shared-manager BDD construction (an
+//     explicit engine only — the global BDD of a multiplier or a
+//     reciprocal is intrinsically exponential)
+//   * the simulation-guided SAT sweep (network/cec.hpp): structurally
+//     hashed CNF over an in-repo CDCL solver, exact at any input count —
+//     what kAuto uses on every wider circuit.
 
 #include <cstdint>
 #include <optional>
@@ -58,25 +62,31 @@ template <typename FaninFn>
 [[nodiscard]] std::vector<std::uint64_t> simulate_words(
     const Network& network, const std::vector<std::uint64_t>& pi_words);
 
-/// Simulation core over a precomputed topological order, writing every
-/// node's 64-pattern word into a caller-owned buffer (indexed by NodeId).
-/// Multi-round callers — the random equivalence check and the SAT
-/// checker's signature rounds — hoist the order and the buffers out of
-/// their loops. `fanin_words` is reusable SOP-evaluation scratch.
+/// Simulation core over a precomputed topological order, `words`
+/// 64-pattern words per node at a time. `pi_words` holds `words`
+/// consecutive words per primary input (input i at [i * words, (i + 1) *
+/// words)); the words of every input and of every node in `order` land
+/// in the caller-owned `value` at [id * words, (id + 1) * words). Other
+/// nodes' words are left unspecified (the buffer is reused, not cleared).
+/// Multi-round callers — the random and exhaustive equivalence checks and
+/// the SAT checker's signatures — hoist the order and the buffers out of
+/// their loops. `scratch` is reusable SOP-evaluation space.
 void simulate_words_into(const Network& network, const std::vector<NodeId>& order,
                          const std::vector<std::uint64_t>& pi_words,
                          std::vector<std::uint64_t>& value,
-                         std::vector<std::uint64_t>& fanin_words);
+                         std::vector<std::uint64_t>& scratch, std::size_t words = 1);
 
 /// Single-pattern convenience wrapper.
 [[nodiscard]] std::vector<bool> simulate(const Network& network,
                                          const std::vector<bool>& pi_values);
 
 /// Equivalence-checking engine. kAuto refutes by simulation first, then
-/// proves with a BDD on tiny input counts and the SAT miter sweep
-/// everywhere else; kSim alone never *proves* anything (exact stays
-/// false on agreement).
-enum class EquivEngine : std::uint8_t { kAuto, kBdd, kSat, kSim };
+/// proves by exhaustive simulation on narrow circuits and with the SAT
+/// sweep everywhere else; kSim alone never *proves* anything (exact stays
+/// false on agreement). kExhaustive names the engine behind kAuto's
+/// narrow-circuit verdicts; requesting it directly forces the enumeration
+/// (parse_equiv_engine, and so --oracle, does not offer it).
+enum class EquivEngine : std::uint8_t { kAuto, kBdd, kSat, kSim, kExhaustive };
 
 [[nodiscard]] const char* equiv_engine_name(EquivEngine engine);
 /// Parse "auto" / "bdd" / "sat" / "sim"; throws std::invalid_argument.
@@ -85,8 +95,8 @@ enum class EquivEngine : std::uint8_t { kAuto, kBdd, kSat, kSim };
 /// Result of an equivalence query.
 struct EquivalenceResult {
     bool equivalent = false;
-    /// True when the verdict is a proof: an exhaustive BDD/SAT argument,
-    /// or a concrete re-simulated counterexample. False means the verdict
+    /// True when the verdict is a proof: an exhaustive-simulation, BDD or
+    /// SAT argument, or a concrete re-simulated counterexample. False means the verdict
     /// is only sampled (random simulation agreed) — callers asserting
     /// sign-off must check this, not just `equivalent`.
     bool exact = false;
@@ -107,20 +117,27 @@ struct EquivalenceResult {
                                                   const Network& b, int rounds,
                                                   std::uint64_t seed);
 
+/// Exact equivalence by simulating both networks on all 2^n input
+/// patterns: inputs 0-5 take the six projection words, higher inputs take
+/// their bits from the word index. The first differing pattern comes back
+/// as a re-simulated counterexample. Cost is 2^n / 64 words per node, so
+/// it is meant for n <= ~24; throws std::invalid_argument above 40 inputs.
+[[nodiscard]] EquivalenceResult exhaustive_equivalent(const Network& a, const Network& b);
+
 /// Exact equivalence by building both networks' output BDDs in one manager.
 /// Practical only for tiny input counts on these benchmark classes (the
 /// multiplier BDD is exponential); inequivalence comes with a
 /// counterexample pattern extracted from the difference BDD.
 [[nodiscard]] EquivalenceResult bdd_equivalent(const Network& a, const Network& b);
 
-/// The default exact sign-off: simulation for fast refutation, then a BDD
-/// proof when the input count is at most `bdd_input_limit` and the SAT
-/// miter sweep (network/cec.hpp) above it. Exact at ANY input count — the
-/// historical silent downgrade to random-only verdicts on wide circuits
-/// is gone; the result's `exact` flag is always true. Implemented in
-/// network/cec.cpp; an engine-selectable overload lives in cec.hpp.
+/// The default exact sign-off: simulation for fast refutation, then an
+/// exhaustive-simulation proof when the input count is at most
+/// `exhaustive_input_limit` and the SAT sweep (network/cec.hpp) above it.
+/// Exact at ANY input count — the result's `exact` flag is always true.
+/// Implemented in network/cec.cpp; an engine-selectable overload lives in
+/// cec.hpp.
 [[nodiscard]] EquivalenceResult check_equivalent(const Network& a, const Network& b,
-                                                 int bdd_input_limit = 20,
+                                                 int exhaustive_input_limit = 20,
                                                  int random_rounds = 64,
                                                  std::uint64_t seed = 0x5eed);
 

@@ -123,11 +123,13 @@ TEST(Arith, FourOperandAdder) {
     }
 }
 
-class MultiplierTest : public ::testing::TestWithParam<std::pair<const char*, int>> {};
+// std::string, not const char*: gtest prints a char pointer with its address,
+// which would put a per-run value into the case names.
+class MultiplierTest : public ::testing::TestWithParam<std::pair<std::string, int>> {};
 
 TEST_P(MultiplierTest, MatchesIntegerMultiply) {
     const auto [which, bits] = GetParam();
-    const Network net = std::string(which) == "array"
+    const Network net = which == "array"
                             ? make_array_multiplier(bits)
                             : make_wallace_multiplier(bits);
     BusIo io(net);
@@ -153,9 +155,11 @@ TEST_P(MultiplierTest, MatchesIntegerMultiply) {
 
 INSTANTIATE_TEST_SUITE_P(
     Kinds, MultiplierTest,
-    ::testing::Values(std::make_pair("array", 4), std::make_pair("array", 8),
-                      std::make_pair("wallace", 4), std::make_pair("wallace", 8),
-                      std::make_pair("wallace", 16)));
+    ::testing::Values(MultiplierTest::ParamType{"array", 4},
+                      MultiplierTest::ParamType{"array", 8},
+                      MultiplierTest::ParamType{"wallace", 4},
+                      MultiplierTest::ParamType{"wallace", 8},
+                      MultiplierTest::ParamType{"wallace", 16}));
 
 TEST(Arith, Mac) {
     const int bits = 8;

@@ -121,10 +121,10 @@ TEST(Flow, WideNetworkRespectsPartitionBudget) {
     net.add_output("y", layer[0]);
     const DecompFlowResult r = run_bdsmaj(net);
     EXPECT_GT(r.supernode_count, 1);
-    // bdd_input_limit 0 forces the SAT engine: at 40 inputs this used to
+    // exhaustive_input_limit 0 forces the SAT engine: at 40 inputs this used to
     // silently fall back to random simulation; now it is an exact proof.
     const net::EquivalenceResult eq =
-        net::check_equivalent(net, r.network, /*bdd_input_limit=*/0,
+        net::check_equivalent(net, r.network, /*exhaustive_input_limit=*/0,
                               /*random_rounds=*/256);
     EXPECT_TRUE(eq.equivalent);
     EXPECT_TRUE(eq.exact);

@@ -100,5 +100,18 @@ TEST(Flows, ResultMetadataIsFilled) {
     EXPECT_GT(r.engine_stats.maj_steps, 0);
 }
 
+TEST(Flows, FullWidthReciprocalSignsOffByExhaustiveSimulation) {
+    // Rev (1/X) at the paper's 19 bits: its global BDD made a verified job
+    // take ~85 s; 19 inputs are within the exhaustive engine's reach.
+    const Network input = benchgen::make_reciprocal(19);
+    FlowOptions options;
+    options.verify = true;
+    const SynthesisResult r = flow_bdsmaj(input, options);
+    ASSERT_TRUE(r.equivalence.has_value());
+    EXPECT_TRUE(r.equivalence->equivalent);
+    EXPECT_TRUE(r.equivalence->exact);
+    EXPECT_EQ(r.equivalence->engine, net::EquivEngine::kExhaustive);
+}
+
 }  // namespace
 }  // namespace bdsmaj::flows

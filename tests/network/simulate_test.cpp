@@ -132,6 +132,104 @@ TEST(Equivalence, StructurallyDifferentButEqualFunctions) {
     EXPECT_TRUE(check_equivalent(a, b).equivalent);
 }
 
+/// A pair of structurally different, equivalent n-input networks with two
+/// outputs: the parity of all inputs and the OR of adjacent input pairs.
+/// `b` builds both in reverse order, through XNORs and De Morgan. With n
+/// = 0 both outputs are constants.
+struct ExhaustivePair {
+    Network a, b;
+    std::vector<NodeId> b_inputs;
+};
+
+ExhaustivePair exhaustive_pair(int n) {
+    ExhaustivePair p;
+    std::vector<NodeId> xa;
+    for (int i = 0; i < n; ++i) {
+        xa.push_back(p.a.add_input("x" + std::to_string(i)));
+        p.b_inputs.push_back(p.b.add_input("x" + std::to_string(i)));
+    }
+    NodeId parity = p.a.add_constant(false);
+    for (const NodeId x : xa) parity = p.a.add_xor(parity, x);
+    NodeId pairs = p.a.add_constant(false);
+    for (int i = 0; i + 1 < n; ++i) pairs = p.a.add_or(pairs, p.a.add_and(xa[i], xa[i + 1]));
+    p.a.add_output("parity", parity);
+    p.a.add_output("pairs", pairs);
+
+    const std::vector<NodeId>& xb = p.b_inputs;
+    NodeId parity_b = p.b.add_constant(n % 2 == 0);  // built complemented
+    for (int i = n - 1; i >= 0; --i) parity_b = p.b.add_xnor(parity_b, xb[i]);
+    NodeId none = p.b.add_not(p.b.add_constant(false));  // no pair is set
+    for (int i = n - 2; i >= 0; --i) {
+        none = p.b.add_and(none, p.b.add_gate(GateKind::kNand, {xb[i], xb[i + 1]}));
+    }
+    p.b.add_output("parity", p.b.add_not(parity_b));
+    p.b.add_output("pairs", p.b.add_not(none));
+    return p;
+}
+
+/// `p.b` with output 0 complemented on exactly one pattern: all inputs
+/// equal to `value`.
+Network plant_difference(ExhaustivePair p, bool value) {
+    NodeId hit = p.b.add_constant(true);
+    for (const NodeId x : p.b_inputs) hit = p.b.add_and(hit, value ? x : p.b.add_not(x));
+    OutputPort& out = p.b.outputs()[0];
+    out.driver = p.b.add_xor(out.driver, hit);
+    return std::move(p.b);
+}
+
+TEST(Exhaustive, ProvesAndRefutesAcrossWordAndBlockBoundaries) {
+    // 0: constants only; 1 and 5: one partial word; 6: exactly one word;
+    // 7: two words; 12: one full 64-word block; 13: two blocks.
+    for (const int n : {0, 1, 5, 6, 7, 12, 13}) {
+        const ExhaustivePair p = exhaustive_pair(n);
+        const EquivalenceResult same = exhaustive_equivalent(p.a, p.b);
+        EXPECT_TRUE(same.equivalent) << n << " inputs: " << same.reason;
+        EXPECT_TRUE(same.exact);
+        EXPECT_EQ(same.engine, EquivEngine::kExhaustive);
+        for (const bool value : {false, true}) {
+            const Network planted = plant_difference(p, value);
+            const EquivalenceResult r = exhaustive_equivalent(p.a, planted);
+            ASSERT_FALSE(r.equivalent) << n << " inputs, planted at all-" << value;
+            EXPECT_TRUE(r.exact);
+            EXPECT_EQ(r.engine, EquivEngine::kExhaustive);
+            EXPECT_EQ(r.failing_output, 0);
+            // The only differing pattern is the planted one.
+            EXPECT_EQ(r.counterexample, std::vector<bool>(static_cast<std::size_t>(n), value));
+            EXPECT_NE(simulate(p.a, r.counterexample)[0], simulate(planted, r.counterexample)[0]);
+        }
+    }
+}
+
+TEST(Exhaustive, AutoFindsASinglePatternDifferenceRandomSimulationMisses) {
+    // 20 inputs: 2^20 patterns, of which the default random pre-pass
+    // samples 4096. The planted all-ones pattern must come back from the
+    // exhaustive engine with a re-simulated counterexample.
+    const ExhaustivePair p = exhaustive_pair(20);
+    const Network planted = plant_difference(p, true);
+    const EquivalenceResult r = check_equivalent(p.a, planted);
+    ASSERT_FALSE(r.equivalent);
+    EXPECT_TRUE(r.exact);
+    EXPECT_EQ(r.engine, EquivEngine::kExhaustive);
+    EXPECT_EQ(r.counterexample, std::vector<bool>(20, true));
+    EXPECT_EQ(check_equivalent(p.a, p.b).engine, EquivEngine::kExhaustive);
+}
+
+TEST(Exhaustive, ShapeMismatchAndWidthLimit) {
+    Network a;
+    a.add_output("f", a.add_input("x"));
+    Network b;
+    b.add_output("f", b.add_constant(false));
+    b.add_output("g", b.add_constant(true));
+    const EquivalenceResult r = exhaustive_equivalent(a, b);
+    EXPECT_FALSE(r.equivalent);
+    EXPECT_TRUE(r.exact);
+    EXPECT_EQ(r.engine, EquivEngine::kExhaustive);
+
+    Network wide;
+    for (int i = 0; i < 41; ++i) wide.add_input("x" + std::to_string(i));
+    EXPECT_THROW((void)exhaustive_equivalent(wide, wide), std::invalid_argument);
+}
+
 TEST(Equivalence, ShapeMismatchesAreReported) {
     Network a;
     a.add_output("f", a.add_input("x"));

@@ -38,8 +38,8 @@
 //   --verify                      equivalence-check outputs (default on)
 //   --oracle auto|bdd|sat|sim     equivalence engine for --verify
 //                                 (default auto: simulation refutes, then
-//                                 a BDD proof on tiny input counts and the
-//                                 SAT miter sweep everywhere else; sim
+//                                 exhaustive simulation proves up to 20
+//                                 inputs and the SAT sweep above; sim
 //                                 alone is not an exact sign-off)
 //   --quiet                       only print the summary line (suppresses
 //                                 the per-strategy engine step counts)
@@ -195,8 +195,9 @@ void print_help(std::FILE* to) {
         "verification:\n"
         "  --no-verify                  skip the equivalence sign-off (default on)\n"
         "  --oracle auto|bdd|sat|sim    equivalence engine for the sign-off\n"
-        "                               (default auto; sim alone is sampled, not\n"
-        "                               an exact sign-off)\n"
+        "                               (default auto: exhaustive simulation up\n"
+        "                               to 20 inputs, SAT above; sim alone is\n"
+        "                               sampled, not an exact sign-off)\n"
         "\n"
         "deadlines and graceful degradation (BDS flows):\n"
         "  --deadline-ms MS             hard deadline, measured from the start of\n"
