@@ -20,7 +20,9 @@
 //                  between the two modes;
 //   * table2     — end-to-end Table II synthesis (quick widths): all four
 //                  flows plus equivalence checks, the same work
-//                  bench/table2_synthesis.cpp does;
+//                  bench/table2_synthesis.cpp does, with each flow's
+//                  optimize + verify seconds (bdsmaj_/bdspga_/abc_/
+//                  dc_seconds) reported beside, not in, the fingerprint;
 //   * ablation   — the dominator-heavy m-dominator ablation sweep of
 //                  bench/ablation_mdom.cpp;
 //   * scaling    — the table2 suite through flows::run_suite at jobs =
@@ -82,6 +84,7 @@
 // must not clobber it. To refresh the committed file, merge a fresh run
 // into the appropriate block (see docs/performance.md).
 
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -434,6 +437,9 @@ struct Table2Result {
     double maj_area = 0;
     long pga_gates = 0, abc_gates = 0, dc_gates = 0;
     decomp::EngineStats maj_stats;
+    /// Per-flow optimize + verify seconds in run_all_flows order
+    /// (BDS-MAJ, BDS-PGA, ABC, DC); timings, not fingerprint.
+    std::array<double, 4> flow_seconds{};
 };
 
 Table2Result bench_table2(bool smoke) {
@@ -461,6 +467,9 @@ Table2Result bench_table2(bool smoke) {
         out.pga_gates += results[1].mapped.gate_count;
         out.abc_gates += results[2].mapped.gate_count;
         out.dc_gates += results[3].mapped.gate_count;
+        for (std::size_t f = 0; f < out.flow_seconds.size(); ++f) {
+            out.flow_seconds[f] += results[f].optimize_seconds + results[f].verify_seconds;
+        }
     }
     out.seconds = seconds_since(start);
     return out;
@@ -1403,6 +1412,10 @@ int main(int argc, char** argv) {
     std::fprintf(f, "    \"seconds\": %.3f,\n", t2.seconds);
     std::fprintf(f, "    \"circuits\": %d,\n", t2.circuits);
     std::fprintf(f, "    \"verified\": %d,\n", t2.verified);
+    std::fprintf(f, "    \"bdsmaj_seconds\": %.3f,\n", t2.flow_seconds[0]);
+    std::fprintf(f, "    \"bdspga_seconds\": %.3f,\n", t2.flow_seconds[1]);
+    std::fprintf(f, "    \"abc_seconds\": %.3f,\n", t2.flow_seconds[2]);
+    std::fprintf(f, "    \"dc_seconds\": %.3f,\n", t2.flow_seconds[3]);
     std::fprintf(f, "    \"fingerprint\": {\n");
     std::fprintf(f, "      \"maj_gates\": %ld,\n", t2.maj_gates);
     std::fprintf(f, "      \"maj_area\": %.4f,\n", t2.maj_area);

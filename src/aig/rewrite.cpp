@@ -1,10 +1,239 @@
 #include <algorithm>
+#include <bit>
+#include <cassert>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "aig/opt.hpp"
-#include "network/factor.hpp"
 
 namespace bdsmaj::aig {
+
+namespace {
+
+using detail::CutTable;
+using detail::FactorInstr;
+using detail::FactorProgram;
+
+constexpr std::uint64_t kVarMasks[6] = {
+    0xaaaaaaaaaaaaaaaaULL, 0xccccccccccccccccULL, 0xf0f0f0f0f0f0f0f0ULL,
+    0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL,
+};
+constexpr std::uint64_t kOnes = ~std::uint64_t{0};
+constexpr CutTable kZeros{0, 0, 0, 0};
+constexpr CutTable kAllOnes{kOnes, kOnes, kOnes, kOnes};
+
+/// Projection x_i (i < 8); variables 6 and 7 select the word.
+CutTable cut_var(int i) {
+    if (i < 6) return {kVarMasks[i], kVarMasks[i], kVarMasks[i], kVarMasks[i]};
+    return i == 6 ? CutTable{0, kOnes, 0, kOnes} : CutTable{0, 0, kOnes, kOnes};
+}
+
+CutTable operator&(const CutTable& a, const CutTable& b) {
+    return {a[0] & b[0], a[1] & b[1], a[2] & b[2], a[3] & b[3]};
+}
+CutTable operator|(const CutTable& a, const CutTable& b) {
+    return {a[0] | b[0], a[1] | b[1], a[2] | b[2], a[3] | b[3]};
+}
+CutTable operator~(const CutTable& a) { return {~a[0], ~a[1], ~a[2], ~a[3]}; }
+
+CutTable cofactor(const CutTable& t, int var, bool value) {
+    if (var == 6) {
+        return value ? CutTable{t[1], t[1], t[3], t[3]} : CutTable{t[0], t[0], t[2], t[2]};
+    }
+    if (var == 7) {
+        return value ? CutTable{t[2], t[3], t[2], t[3]} : CutTable{t[0], t[1], t[0], t[1]};
+    }
+    const std::uint64_t mask = kVarMasks[var];
+    const int shift = 1 << var;
+    CutTable out;
+    for (int i = 0; i < 4; ++i) {
+        out[i] = value ? (t[i] & mask) | ((t[i] & mask) >> shift)
+                       : (t[i] & ~mask) | ((t[i] & ~mask) << shift);
+    }
+    return out;
+}
+
+bool depends_on(const CutTable& t, int var) {
+    if (var == 6) return t[0] != t[1] || t[2] != t[3];
+    if (var == 7) return t[0] != t[2] || t[1] != t[3];
+    const int shift = 1 << var;
+    std::uint64_t diff = 0;
+    for (const std::uint64_t w : t) diff |= (w ^ (w >> shift)) & ~kVarMasks[var];
+    return diff != 0;
+}
+
+/// A product term: bit i of `pos` (`neg`) = positive (complemented)
+/// literal of variable i.
+struct MaskCube {
+    std::uint8_t pos = 0;
+    std::uint8_t neg = 0;
+};
+
+/// Minato-Morreale ISOP and quick factor over MaskCubes, mirroring
+/// net::Sop::isop and net::detail::factor_generic step for step (same
+/// split variable, cube order, divisor scan and AND/OR pairing) so the
+/// emitted program is the one the generic pair would record.
+class CutCompiler {
+public:
+    FactorProgram compile(const CutTable& function, int num_vars) {
+        (void)isop(function, function, num_vars - 1);
+        prog_.result = factor(0, cubes_.size());
+        return std::move(prog_);
+    }
+
+private:
+    /// Appends a cover of some function between `lower` and `upper` to
+    /// cubes_ and returns that function.
+    CutTable isop(const CutTable& lower, const CutTable& upper, int var) {
+        if (upper == kZeros) return kZeros;
+        int split = -1;
+        if (lower != kAllOnes) {
+            for (int v = var; v >= 0; --v) {
+                if (depends_on(lower, v) || depends_on(upper, v)) {
+                    split = v;
+                    break;
+                }
+            }
+        }
+        if (split < 0) {
+            cubes_.push_back(MaskCube{});
+            return kAllOnes;
+        }
+        const CutTable l0 = cofactor(lower, split, false);
+        const CutTable l1 = cofactor(lower, split, true);
+        const CutTable u0 = cofactor(upper, split, false);
+        const CutTable u1 = cofactor(upper, split, true);
+        const auto bit = static_cast<std::uint8_t>(1u << split);
+
+        std::size_t from = cubes_.size();
+        const CutTable cover0 = isop(l0 & ~u1, u0, split - 1);
+        for (std::size_t i = from; i < cubes_.size(); ++i) cubes_[i].neg |= bit;
+        from = cubes_.size();
+        const CutTable cover1 = isop(l1 & ~u0, u1, split - 1);
+        for (std::size_t i = from; i < cubes_.size(); ++i) cubes_[i].pos |= bit;
+        const CutTable cover_dash =
+            isop((l0 & ~cover0) | (l1 & ~cover1), u0 & u1, split - 1);
+        const CutTable vs = cut_var(split);
+        return (~vs & cover0) | (vs & cover1) | cover_dash;
+    }
+
+    std::uint32_t emit(FactorInstr instr) {
+        prog_.instrs.push_back(instr);
+        return static_cast<std::uint32_t>(prog_.instrs.size() - 1);
+    }
+    std::uint32_t emit_lit(int var, bool positive) {
+        return emit({FactorInstr::kLit, static_cast<std::uint32_t>(var), positive ? 1u : 0u});
+    }
+
+    /// Pairwise reduction, carrying an odd last term to the next round.
+    template <std::size_t N>
+    std::uint32_t balanced(std::array<std::uint32_t, N>& terms, std::size_t size,
+                           FactorInstr::Op op) {
+        assert(size > 0);
+        while (size > 1) {
+            for (std::size_t i = 0; i + 1 < size; i += 2) {
+                terms[i / 2] = emit({op, terms[i], terms[i + 1]});
+            }
+            if (size % 2 == 1) terms[size / 2] = terms[size - 1];
+            size = (size + 1) / 2;
+        }
+        return terms[0];
+    }
+
+    std::uint32_t and_tree(MaskCube c) {
+        std::array<std::uint32_t, 8> terms{};
+        std::size_t size = 0;
+        for (int v = 0; v < 8; ++v) {
+            if ((c.pos >> v) & 1) terms[size++] = emit_lit(v, true);
+            if ((c.neg >> v) & 1) terms[size++] = emit_lit(v, false);
+        }
+        return balanced(terms, size, FactorInstr::kAnd);
+    }
+
+    /// Factors cubes_[begin, end). Quotient and remainder are staged past
+    /// the end of cubes_ and popped once factored.
+    std::uint32_t factor(std::size_t begin, std::size_t end) {
+        if (begin == end) return emit({FactorInstr::kConst0});
+        for (std::size_t i = begin; i < end; ++i) {
+            if (cubes_[i].pos == 0 && cubes_[i].neg == 0) {
+                return emit({FactorInstr::kConst1});
+            }
+        }
+        if (end - begin == 1) return and_tree(cubes_[begin]);
+
+        // Most frequent literal in at least two cubes; ties keep the first
+        // in (variable ascending, negative before positive) order, which
+        // is ascending index in counts (2v = negative, 2v + 1 = positive).
+        std::array<int, 16> counts{};
+        for (std::size_t i = begin; i < end; ++i) {
+            for (unsigned m = cubes_[i].neg; m != 0; m &= m - 1) {
+                ++counts[2 * std::countr_zero(m)];
+            }
+            for (unsigned m = cubes_[i].pos; m != 0; m &= m - 1) {
+                ++counts[2 * std::countr_zero(m) + 1];
+            }
+        }
+        int best = 1;
+        int divisor = -1;
+        bool positive = false;
+        for (int k = 0; k < 16; ++k) {
+            if (counts[k] > best) {
+                best = counts[k];
+                divisor = k / 2;
+                positive = (k & 1) != 0;
+            }
+        }
+        if (divisor < 0) {
+            // No shared literal, so at most 16 cubes (one per literal).
+            std::array<std::uint32_t, 16> terms{};
+            assert(end - begin <= terms.size());
+            std::size_t size = 0;
+            for (std::size_t i = begin; i < end; ++i) terms[size++] = and_tree(cubes_[i]);
+            return balanced(terms, size, FactorInstr::kOr);
+        }
+
+        const auto bit = static_cast<std::uint8_t>(1u << divisor);
+        const auto has_divisor = [&](MaskCube c) {
+            return ((positive ? c.pos : c.neg) & bit) != 0;
+        };
+        const std::size_t quotient = cubes_.size();
+        for (std::size_t i = begin; i < end; ++i) {
+            MaskCube c = cubes_[i];
+            if (!has_divisor(c)) continue;
+            (positive ? c.pos : c.neg) &= static_cast<std::uint8_t>(~bit);
+            cubes_.push_back(c);
+        }
+        const std::uint32_t lit = emit_lit(divisor, positive);
+        const std::uint32_t q = factor(quotient, cubes_.size());
+        cubes_.resize(quotient);
+        const std::uint32_t left = emit({FactorInstr::kAnd, lit, q});
+        const std::size_t remainder = cubes_.size();
+        for (std::size_t i = begin; i < end; ++i) {
+            const MaskCube c = cubes_[i];
+            if (!has_divisor(c)) cubes_.push_back(c);
+        }
+        if (cubes_.size() == remainder) return left;
+        const std::uint32_t right = factor(remainder, cubes_.size());
+        cubes_.resize(remainder);
+        return emit({FactorInstr::kOr, left, right});
+    }
+
+    std::vector<MaskCube> cubes_;
+    FactorProgram prog_;
+};
+
+}  // namespace
+
+namespace detail {
+
+FactorProgram compile_cut_function(const CutTable& function, int num_vars) {
+    if (num_vars < 0 || num_vars > 8) {
+        throw std::invalid_argument("compile_cut_function: num_vars must be in [0, 8]");
+    }
+    return CutCompiler().compile(function, num_vars);
+}
+
+}  // namespace detail
 
 namespace {
 
@@ -139,83 +368,42 @@ private:
         return count;
     }
 
-    /// Truth table of n over the ordered cut leaves.
-    tt::TruthTable cut_function(NodeId n, const std::vector<NodeId>& cut,
-                                const std::vector<NodeId>& cone) {
-        const int k = static_cast<int>(cut.size());
+    /// Truth table of n over the ordered cut leaves (leaf i = variable i).
+    CutTable cut_function(NodeId n, const std::vector<NodeId>& cut,
+                          const std::vector<NodeId>& cone) {
         const std::uint32_t gen = ++gen_;
-        // slot_value_[v] indexes into a dense table vector while stamped.
-        std::vector<tt::TruthTable> tables;
-        tables.reserve(cut.size() + cone.size());
-        for (int i = 0; i < k; ++i) {
-            const NodeId leaf = cut[static_cast<std::size_t>(i)];
-            slot_stamp_[leaf] = gen;
-            slot_value_[leaf] = static_cast<std::uint32_t>(tables.size());
-            tables.push_back(tt::TruthTable::var(k, i));
+        // slot_value_[v] indexes into tables_ while stamped.
+        tables_.clear();
+        for (std::size_t i = 0; i < cut.size(); ++i) {
+            slot_stamp_[cut[i]] = gen;
+            slot_value_[cut[i]] = static_cast<std::uint32_t>(tables_.size());
+            tables_.push_back(cut_var(static_cast<int>(i)));
         }
         const auto eval = [&](Lit l) {
-            const tt::TruthTable& t = tables[slot_value_[lit_node(l)]];
+            const CutTable& t = tables_[slot_value_[lit_node(l)]];
             return lit_complemented(l) ? ~t : t;
         };
         for (const NodeId v : cone) {
             if (slot_stamp_[v] == gen) continue;
-            tt::TruthTable t = eval(in_.fanin0(v)) & eval(in_.fanin1(v));
+            const CutTable t = eval(in_.fanin0(v)) & eval(in_.fanin1(v));
             slot_stamp_[v] = gen;
-            slot_value_[v] = static_cast<std::uint32_t>(tables.size());
-            tables.push_back(std::move(t));
+            slot_value_[v] = static_cast<std::uint32_t>(tables_.size());
+            tables_.push_back(t);
         }
-        return tables[slot_value_[n]];
+        return tables_[slot_value_[n]];
     }
 
-    /// A compiled factored form: the factor_generic callback sequence
-    /// recorded as a tiny straight-line program over leaf positions.
-    /// Datapath circuits repeat the same cut functions (full adders,
-    /// carries) thousands of times, and the rewriting gain test builds
-    /// every candidate twice (trial + commit); replaying the program skips
-    /// the ISOP and divisor search entirely on every repeat.
-    struct FactorInstr {
-        enum Op : std::uint8_t { kConst0, kConst1, kLit, kAnd, kOr };
-        Op op;
-        std::uint32_t a = 0;  // kLit: leaf position; kAnd/kOr: operand index
-        std::uint32_t b = 0;  // kLit: 1 = positive;  kAnd/kOr: operand index
-    };
-    struct FactorProgram {
-        std::vector<FactorInstr> instrs;
-        std::uint32_t result = 0;  // index of the output value
-    };
-
-    static FactorProgram compile_factored(const tt::TruthTable& function) {
-        const net::Sop cover = net::Sop::isop(function);
-        FactorProgram prog;
-        const auto emit = [&prog](FactorInstr instr) {
-            prog.instrs.push_back(instr);
-            return static_cast<std::uint32_t>(prog.instrs.size() - 1);
-        };
-        prog.result = net::detail::factor_generic(
-            cover.cubes(),
-            [&](std::size_t pos, bool positive) {
-                return emit({FactorInstr::kLit, static_cast<std::uint32_t>(pos),
-                             positive ? 1u : 0u});
-            },
-            [&](std::uint32_t x, std::uint32_t y) {
-                return emit({FactorInstr::kAnd, x, y});
-            },
-            [&](std::uint32_t x, std::uint32_t y) {
-                return emit({FactorInstr::kOr, x, y});
-            },
-            [&](bool value) {
-                return emit({value ? FactorInstr::kConst1 : FactorInstr::kConst0});
-            });
-        return prog;
+    /// The compiled factored form of a cut function, from the per-call
+    /// cache. Datapath circuits repeat the same cut functions (full adders,
+    /// carries) thousands of times; map nodes are stable, so the pointer
+    /// stays valid for the whole pass.
+    const FactorProgram* program_for(const CutTable& function, int num_vars) {
+        auto [it, fresh] = factor_cache_.try_emplace(CutKey{function, num_vars});
+        if (fresh) it->second = detail::compile_cut_function(function, num_vars);
+        return &it->second;
     }
 
-    Lit build_factored(const tt::TruthTable& function, const std::vector<Lit>& leaves) {
-        std::string key = function.to_hex();
-        key += ':';
-        key += std::to_string(function.num_vars());
-        auto [cache_it, fresh] = factor_cache_.try_emplace(std::move(key));
-        if (fresh) cache_it->second = compile_factored(function);
-        const FactorProgram& prog = cache_it->second;
+    Lit build_factored(const FactorProgram& prog, const std::vector<Lit>& leaves) {
         values_.resize(prog.instrs.size());
         for (std::size_t i = 0; i < prog.instrs.size(); ++i) {
             const FactorInstr& instr = prog.instrs[i];
@@ -252,7 +440,7 @@ private:
 
         int best_cost = 0;
         bool have_best = false;
-        tt::TruthTable best_fn;
+        const FactorProgram* best_prog = nullptr;
         std::vector<Lit> best_leaves;
 
         for (int strategy = 0; strategy < params_.cut_variants; ++strategy) {
@@ -264,17 +452,18 @@ private:
             std::vector<Lit> leaves;
             leaves.reserve(cut.size());
             for (const NodeId leaf : cut) leaves.push_back(copy(make_lit(leaf, false)));
-            const tt::TruthTable fn = cut_function(n, cut, cone);
+            const FactorProgram* prog =
+                program_for(cut_function(n, cut, cone), static_cast<int>(cut.size()));
             // Trial build with rollback.
             const std::size_t marked = out_.mark();
-            (void)build_factored(fn, leaves);
+            (void)build_factored(*prog, leaves);
             const int created = static_cast<int>(out_.mark() - marked);
             const bool acceptable =
                 params_.zero_gain ? created <= budget : created < budget;
             if (acceptable && (!have_best || created < best_cost)) {
                 have_best = true;
                 best_cost = created;
-                best_fn = fn;
+                best_prog = prog;
                 best_leaves = leaves;
             }
             out_.truncate(marked);  // candidates are rebuilt at commit time
@@ -282,7 +471,7 @@ private:
 
         Lit result;
         if (have_best) {
-            result = build_factored(best_fn, best_leaves);
+            result = build_factored(*best_prog, best_leaves);
         } else {
             const Lit f0 = copy(in_.fanin0(n));
             const Lit f1 = copy(in_.fanin1(n));
@@ -305,13 +494,33 @@ private:
     std::vector<std::uint32_t> slot_stamp_;
     std::vector<std::uint32_t> slot_value_;
     std::uint32_t gen_ = 0;
-    std::unordered_map<std::string, FactorProgram> factor_cache_;
-    std::vector<Lit> values_;  // replay scratch
+    struct CutKey {
+        CutTable function;
+        int num_vars;
+        bool operator==(const CutKey&) const = default;
+    };
+    struct CutKeyHash {
+        std::size_t operator()(const CutKey& k) const noexcept {
+            std::uint64_t h = static_cast<std::uint64_t>(k.num_vars);
+            for (const std::uint64_t w : k.function) {
+                h = (h ^ w) * 0x9e3779b97f4a7c15ULL;
+                h ^= h >> 29;
+            }
+            return static_cast<std::size_t>(h);
+        }
+    };
+    std::unordered_map<CutKey, FactorProgram, CutKeyHash> factor_cache_;
+    std::vector<CutTable> tables_;  // cut_function scratch
+    std::vector<Lit> values_;       // replay scratch
 };
 
 }  // namespace
 
 Aig rewrite(const Aig& in, const RewriteParams& params) {
+    // Cut functions are 256-bit tables and cubes 8-bit masks.
+    if (params.cut_size < 2 || params.cut_size > 8) {
+        throw std::invalid_argument("aig::rewrite: cut_size must be in [2, 8]");
+    }
     Aig out = Rewriter(in, params).run();
     // MFFC budgets are estimates: a replacement can keep its cone alive
     // through other fanouts. Guarantee monotonicity by falling back to the

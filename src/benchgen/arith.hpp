@@ -4,7 +4,7 @@
 // plus the multiplier behind C6288. Each generator builds the named
 // function structurally; tests verify every one against an integer oracle
 // by simulation, so these are the paper's workloads by function (see
-// DESIGN.md substitution notes).
+// docs/architecture.md, "Substitutions").
 //
 // Bit i of every bus is the weight-2^i signal, named e.g. "a3".
 

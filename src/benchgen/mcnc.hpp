@@ -1,6 +1,7 @@
 #pragma once
 // Proxies for the MCNC benchmarks of Table I/II. The MCNC suite is not
-// redistributable here; see DESIGN.md §4 for the substitution policy:
+// redistributable here; see docs/architecture.md, "Substitutions", for the
+// substitution policy:
 //  * circuits whose function is known are generated exactly by function
 //    (C6288 = 16x16 multiplier, C1355 = 32-bit single-error-correcting
 //    decoder, alu2/f51m = small arithmetic/logic units);

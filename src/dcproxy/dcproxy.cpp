@@ -1,13 +1,15 @@
-// Design Compiler proxy (see DESIGN.md §4).
+// Design Compiler proxy (see docs/architecture.md, "Substitutions").
 //
 // The paper compares against Synopsys DC with `compile -area -effort high`.
 // DC is closed source; the proxy models a strong conventional flow by
 // running several unrelated recipes at higher effort and keeping the best
 // mapped area — the multi-recipe, area-effort behaviour commercial tools
-// exhibit — while staying majority-blind like DC's 2013 mapper:
-//   1. an extended AIG script (resyn2 twice, extra zero-gain perturbation);
-//   2. the BDD decomposition flow without majority support;
-//   3. the AIG script applied on top of recipe 2's result.
+// exhibit — while staying majority-blind like DC's 2013 mapper. The
+// candidates, in tie-breaking order:
+//   1. the AIG script (resyn2);
+//   2. the AIG script twice (resyn2 of candidate 1's AIG, computed once);
+//   3. the BDD decomposition flow without majority support, then resyn2;
+//   4. that decomposition as it stands.
 
 #include <chrono>
 
@@ -20,13 +22,15 @@ namespace bdsmaj::flows {
 
 namespace {
 
-net::Network run_aig_script(const net::Network& input, int repeats) {
-    aig::Aig a = aig::network_to_aig(net::cleanup(input));
-    for (int i = 0; i < repeats; ++i) a = aig::resyn2(a);
+net::Network to_network(const aig::Aig& a, const net::Network& input) {
     std::vector<std::string> in_names, out_names;
     for (const net::NodeId id : input.inputs()) in_names.push_back(input.node(id).name);
     for (const net::OutputPort& po : input.outputs()) out_names.push_back(po.name);
     return net::cleanup(aig::aig_to_network(a, in_names, out_names));
+}
+
+aig::Aig resyn2_of(const net::Network& input) {
+    return aig::resyn2(aig::network_to_aig(net::cleanup(input)));
 }
 
 }  // namespace
@@ -37,13 +41,16 @@ SynthesisResult flow_dc(const net::Network& input) {
     result.flow_name = "DC";
 
     std::vector<net::Network> candidates;
-    candidates.push_back(run_aig_script(input, 1));
-    candidates.push_back(run_aig_script(input, 2));
+    {
+        const aig::Aig once = resyn2_of(input);
+        candidates.push_back(to_network(once, input));
+        candidates.push_back(to_network(aig::resyn2(once), input));
+    }
     {
         decomp::DecompFlowParams params;
         params.engine.use_majority = false;
         decomp::DecompFlowResult d = decomp::decompose_network(input, params);
-        candidates.push_back(run_aig_script(d.network, 1));
+        candidates.push_back(to_network(resyn2_of(d.network), d.network));
         candidates.push_back(std::move(d.network));
     }
 

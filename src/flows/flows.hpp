@@ -5,9 +5,11 @@
 //   * BDS-MAJ : partition -> BDD decomposition with majority (this paper)
 //               -> direct MAJ/XOR/XNOR cell assignment + NAND/NOR/INV cover
 //   * BDS-PGA : same engine without the majority stage (Table I baseline)
-//   * ABC     : AIG + resyn2-style script + motif-detecting mapper
+//   * ABC     : AIG + resyn2-style script, mapped without XOR/MUX motif
+//               recovery
 //   * DC      : commercial-style proxy — best-of multiple recipes at high
-//               area effort (see DESIGN.md §4 for the substitution rationale)
+//               area effort (see docs/architecture.md, "Substitutions", for
+//               the substitution rationale)
 
 #include <atomic>
 #include <chrono>

@@ -2,8 +2,9 @@
 // Standard-cell library model (paper SV-B1): MAJ-3, XOR-2, XNOR-2, NAND-2,
 // NOR-2 and INV characterized for a CMOS 22 nm technology node.
 //
-// Substitution note (see DESIGN.md): the paper characterizes its cells with
-// PTM 22 nm SPICE models; we use a static linear timing model
+// Substitution note (see docs/architecture.md, "Substitutions"): the paper
+// characterizes its cells with PTM 22 nm SPICE models; we use a static
+// linear timing model
 //     delay(cell, fanout) = intrinsic + slope * fanout
 // with constants scaled from transistor counts at 22 nm. Relative
 // area/delay ratios between cell types follow transistor counts, which is

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 
 #include "aig/convert.hpp"
+#include "network/factor.hpp"
 #include "network/simulate.hpp"
 #include "tt/truth_table.hpp"
 
@@ -102,6 +106,111 @@ TEST(Rewrite, LargerCutsActAsRefactor) {
     const Aig rewritten = rewrite(aig, RewriteParams{8, 3, false});
     expect_aig_equivalent(aig, rewritten);
     EXPECT_LT(rewritten.and_count(), aig.and_count());
+}
+
+TEST(Rewrite, CutSizeMustFitTheKernel) {
+    const Aig aig = random_aig(8, 80, 3);
+    EXPECT_THROW((void)rewrite(aig, RewriteParams{1, 3, false}), std::invalid_argument);
+    EXPECT_THROW((void)rewrite(aig, RewriteParams{9, 3, false}), std::invalid_argument);
+    for (const int k : {2, 8}) {
+        const Aig rewritten = rewrite(aig, RewriteParams{k, 3, false});
+        expect_aig_equivalent(aig, rewritten);
+        EXPECT_LE(rewritten.and_count(), aig.and_count()) << "cut size " << k;
+    }
+}
+
+// ---- the fixed-width compile kernel ----------------------------------------
+
+/// The program the generic pair records: Sop::isop, then factor_generic
+/// with the rewriter's instruction-emitting callbacks.
+detail::FactorProgram reference_program(const tt::TruthTable& function) {
+    using detail::FactorInstr;
+    detail::FactorProgram prog;
+    const auto emit = [&prog](FactorInstr instr) {
+        prog.instrs.push_back(instr);
+        return static_cast<std::uint32_t>(prog.instrs.size() - 1);
+    };
+    prog.result = net::detail::factor_generic(
+        net::Sop::isop(function).cubes(),
+        [&](std::size_t pos, bool positive) {
+            return emit({FactorInstr::kLit, static_cast<std::uint32_t>(pos),
+                         positive ? 1u : 0u});
+        },
+        [&](std::uint32_t x, std::uint32_t y) { return emit({FactorInstr::kAnd, x, y}); },
+        [&](std::uint32_t x, std::uint32_t y) { return emit({FactorInstr::kOr, x, y}); },
+        [&](bool value) {
+            return emit({value ? FactorInstr::kConst1 : FactorInstr::kConst0});
+        });
+    return prog;
+}
+
+/// The kernel's 256-bit form of a (normalized) table: words repeat.
+detail::CutTable cut_table(const tt::TruthTable& function) {
+    const std::vector<std::uint64_t>& w = function.words();
+    detail::CutTable out{};
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = w[i % w.size()];
+    return out;
+}
+
+void expect_kernel_matches(const tt::TruthTable& function) {
+    const detail::FactorProgram got =
+        detail::compile_cut_function(cut_table(function), function.num_vars());
+    const detail::FactorProgram want = reference_program(function);
+    ASSERT_EQ(got.result, want.result) << function.to_hex() << " n=" << function.num_vars();
+    ASSERT_EQ(got.instrs.size(), want.instrs.size())
+        << function.to_hex() << " n=" << function.num_vars();
+    for (std::size_t i = 0; i < want.instrs.size(); ++i) {
+        ASSERT_EQ(got.instrs[i].op, want.instrs[i].op) << function.to_hex() << " @" << i;
+        ASSERT_EQ(got.instrs[i].a, want.instrs[i].a) << function.to_hex() << " @" << i;
+        ASSERT_EQ(got.instrs[i].b, want.instrs[i].b) << function.to_hex() << " @" << i;
+    }
+}
+
+TEST(CompileCutFunction, MatchesGenericCompileExhaustivelyUpToFourVars) {
+    for (int n = 2; n <= 4; ++n) {
+        const std::uint64_t count = std::uint64_t{1} << (1u << n);
+        for (std::uint64_t bits = 0; bits < count; ++bits) {
+            const tt::TruthTable f =
+                tt::TruthTable::from_fn(n, [bits](std::uint64_t m) { return (bits >> m) & 1; });
+            expect_kernel_matches(f);
+            if (HasFatalFailure()) return;
+        }
+    }
+}
+
+/// 20,000 seeded random functions per width, in four shards of 5,000 so
+/// the wide widths (where the generic oracle is slow) run in parallel.
+class CompileCutFunctionRandom : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(CompileCutFunctionRandom, MatchesGenericCompile) {
+    const auto [n, shard] = GetParam();
+    std::mt19937_64 rng(0xc0ffee + static_cast<std::uint64_t>(16 * n + shard));
+    for (int i = 0; i < 5000; ++i) {
+        expect_kernel_matches(tt::TruthTable::random(n, rng));
+        if (HasFatalFailure()) return;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, CompileCutFunctionRandom,
+    ::testing::Combine(::testing::Values(5, 6, 7, 8), ::testing::Range(0, 4)),
+    [](const ::testing::TestParamInfo<std::tuple<int, int>>& info) {
+        return "n" + std::to_string(std::get<0>(info.param)) + "_shard" +
+               std::to_string(std::get<1>(info.param));
+    });
+
+TEST(CompileCutFunction, ConstantsAndLiteralsAtEveryWidth) {
+    for (int n = 0; n <= 8; ++n) {
+        expect_kernel_matches(tt::TruthTable::zeros(n));
+        expect_kernel_matches(tt::TruthTable::ones(n));
+        for (int v = 0; v < n; ++v) {
+            const tt::TruthTable x = tt::TruthTable::var(n, v);
+            expect_kernel_matches(x);
+            expect_kernel_matches(~x);
+        }
+    }
+    EXPECT_THROW((void)detail::compile_cut_function(detail::CutTable{}, 9),
+                 std::invalid_argument);
 }
 
 TEST(Resyn2, RandomAigsShrinkOrHold) {

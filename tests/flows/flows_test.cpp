@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include "aig/convert.hpp"
+#include "aig/opt.hpp"
 #include "benchgen/arith.hpp"
 #include "benchgen/mcnc.hpp"
+#include "benchgen/suite.hpp"
+#include "network/blif.hpp"
+#include "network/cleanup.hpp"
 #include "network/simulate.hpp"
 
 namespace bdsmaj::flows {
@@ -74,6 +79,65 @@ TEST(Flows, DcProxyIsCorrectAndCompetitive) {
     // DC (best-of, higher effort) must be at least as good as plain ABC.
     EXPECT_LE(dc.mapped.area_um2, abc.mapped.area_um2 * 1.001);
 }
+
+/// The DC proxy's four-candidate recipe spelled out with public calls and
+/// every AIG script run from scratch: resyn2; resyn2 twice; the no-MAJ
+/// decomposition then resyn2; the no-MAJ decomposition. The first
+/// candidate with the smallest mapped area wins.
+struct DcPick {
+    Network optimized;
+    mapping::MappedResult mapped;
+};
+
+DcPick literal_dc_recipe(const Network& input) {
+    const auto aig_script = [](const Network& network, int repeats) {
+        aig::Aig a = aig::network_to_aig(net::cleanup(network));
+        for (int i = 0; i < repeats; ++i) a = aig::resyn2(a);
+        std::vector<std::string> in_names, out_names;
+        for (const net::NodeId id : network.inputs()) in_names.push_back(network.node(id).name);
+        for (const net::OutputPort& po : network.outputs()) out_names.push_back(po.name);
+        return net::cleanup(aig::aig_to_network(a, in_names, out_names));
+    };
+    decomp::DecompFlowParams params;
+    params.engine.use_majority = false;
+    Network decomposed = decomp::decompose_network(input, params).network;
+    std::vector<Network> candidates;
+    candidates.push_back(aig_script(input, 1));
+    candidates.push_back(aig_script(input, 2));
+    candidates.push_back(aig_script(decomposed, 1));
+    candidates.push_back(std::move(decomposed));
+    std::optional<DcPick> best;
+    for (Network& candidate : candidates) {
+        mapping::MappedResult mapped = mapping::map_network(candidate, default_library());
+        if (!best || mapped.area_um2 < best->mapped.area_um2) {
+            best = DcPick{std::move(candidate), std::move(mapped)};
+        }
+    }
+    return std::move(*best);
+}
+
+class DcProxyRecipe : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DcProxyRecipe, PicksTheLiteralRecipesCandidate) {
+    const Network input = benchgen::benchmark_by_name(GetParam(), /*quick=*/true);
+    const SynthesisResult dc = flow_dc(input);
+    const DcPick want = literal_dc_recipe(input);
+    EXPECT_EQ(net::write_blif(dc.optimized), net::write_blif(want.optimized));
+    EXPECT_EQ(dc.mapped.gate_count, want.mapped.gate_count);
+    EXPECT_EQ(dc.mapped.area_um2, want.mapped.area_um2);
+}
+
+INSTANTIATE_TEST_SUITE_P(Benchmarks, DcProxyRecipe,
+                         ::testing::Values(std::string("alu2"), std::string("f51m"),
+                                           std::string("C6288"),
+                                           std::string("Wallace 16 bit")),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                             std::string name = info.param;
+                             for (char& ch : name) {
+                                 if (ch == ' ') ch = '_';
+                             }
+                             return name;
+                         });
 
 TEST(Flows, ControlLogicAllFlowsCorrect) {
     const Network input = benchgen::make_random_control("ctl", 12, 8, 6, 77);
