@@ -80,6 +80,13 @@ Manager::~Manager() = default;
 
 void Manager::reset(int num_vars, ManagerParams params) {
     assert(op_depth_ == 0 && "reset during an active operation");
+#ifndef NDEBUG
+    // A dead node keeps its children referenced until it is swept, so
+    // live_nodes_ can be nonzero with no handle left. Cascade the dead
+    // nodes away (one top-down sweep frees whole dead subgraphs) so the
+    // count is exactly the nodes held by outstanding handles.
+    sweep_dead();
+#endif
     assert(live_nodes_ == 0 && "reset with outstanding Bdd handles");
     params_ = params;
     // Node store back to just the pinned terminal. Node/NodeAux are

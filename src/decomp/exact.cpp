@@ -408,6 +408,14 @@ std::shared_ptr<const WideStructure> ExactSynthesisCache::insert_wide(
     return it->second;
 }
 
+bool ExactSynthesisCache::WideFailure::covers(long long budget,
+                                              int max_steps) const {
+    if (max_steps <= proven_steps) return true;
+    return std::any_of(exhausted.begin(), exhausted.end(), [&](const auto& e) {
+        return budget <= e.first && max_steps <= e.second;
+    });
+}
+
 bool ExactSynthesisCache::wide_failure_covers(int num_inputs,
                                               std::uint64_t canonical,
                                               long long budget, int max_steps) {
@@ -415,13 +423,14 @@ bool ExactSynthesisCache::wide_failure_covers(int num_inputs,
     if (!wide_slot(num_inputs, &slot)) return false;
     std::lock_guard<std::mutex> lock(wide_.mutex);
     const auto it = wide_.failures[slot].find(canonical);
-    if (it == wide_.failures[slot].end()) return false;
-    return it->second.budget >= budget && it->second.max_steps >= max_steps;
+    return it != wide_.failures[slot].end() && it->second.covers(budget, max_steps);
 }
 
 void ExactSynthesisCache::record_wide_failure(int num_inputs,
                                               std::uint64_t canonical,
+                                              ExactSatStatus status,
                                               long long budget, int max_steps) {
+    assert(status != ExactSatStatus::kFound);
     std::size_t slot;
     if (!wide_slot(num_inputs, &slot)) return;
     std::lock_guard<std::mutex> lock(wide_.mutex);
@@ -429,8 +438,17 @@ void ExactSynthesisCache::record_wide_failure(int num_inputs,
     // this worker's failed attempt and the record call.
     if (wide_.map[slot].contains(canonical)) return;
     WideFailure& f = wide_.failures[slot][canonical];
-    f.budget = f.budget > budget ? f.budget : budget;
-    f.max_steps = f.max_steps > max_steps ? f.max_steps : max_steps;
+    if (status == ExactSatStatus::kUnsat) {
+        f.proven_steps = std::max(f.proven_steps, max_steps);
+        std::erase_if(f.exhausted,
+                      [&](const auto& e) { return e.second <= f.proven_steps; });
+        return;
+    }
+    if (f.covers(budget, max_steps)) return;
+    std::erase_if(f.exhausted, [&](const auto& e) {
+        return e.first <= budget && e.second <= max_steps;
+    });
+    f.exhausted.emplace_back(budget, max_steps);
 }
 
 namespace {

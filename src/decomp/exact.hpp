@@ -31,6 +31,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -168,6 +169,14 @@ struct WideStructure {
     [[nodiscard]] std::uint64_t eval_tt() const;
 };
 
+/// Verdict of one SAT chain synthesis (decomp/exact_sat.hpp); declared
+/// here because the wide negative cache keys its entries on it.
+enum class ExactSatStatus : std::uint8_t {
+    kFound,    ///< chain found and validated against the full truth table
+    kUnsat,    ///< proven: no chain of <= max_steps steps computes tt
+    kUnknown,  ///< conflict budget exhausted before a verdict
+};
+
 /// Telemetry of the process-wide class cache.
 struct ExactCacheStats {
     std::uint64_t hits = 0;
@@ -176,7 +185,7 @@ struct ExactCacheStats {
     std::uint64_t wide_hits = 0;
     std::uint64_t wide_misses = 0;  ///< lookups that found no wide program
     int wide_classes_cached = 0;
-    int wide_failures_recorded = 0;  ///< negative entries (budget/steps keyed)
+    int wide_failures_recorded = 0;  ///< classes with a negative entry
 };
 
 /// Process-wide NPN-class structure cache. Thread-safe; the underlying
@@ -228,19 +237,24 @@ public:
     std::shared_ptr<const WideStructure> insert_wide(
         std::shared_ptr<const WideStructure> s);
 
-    /// True when a previous synthesis attempt for the class already failed
-    /// with at least this conflict budget AND step cap — retrying with the
-    /// same or less effort is pointless and would burn the budget again.
+    /// True when a synthesis at (budget, max_steps) is known to fail: a
+    /// recorded proof covers the step cap, or one recorded budget-exhausted
+    /// attempt had at least this budget AND this cap. Retrying is pointless
+    /// and would burn the budget again.
     [[nodiscard]] bool wide_failure_covers(int num_inputs,
                                            std::uint64_t canonical,
                                            long long budget, int max_steps);
 
-    /// Record a failed synthesis attempt (budget exhausted or UNSAT up to
-    /// max_steps). Keeps the strongest attempt per class; in-memory only,
-    /// never persisted (a failure is relative to a budget, not a fact
-    /// about the function).
+    /// Record a failed synthesis attempt at (budget, max_steps). A kUnsat
+    /// proves no chain of <= max_steps steps exists, so it covers every
+    /// budget at caps <= max_steps. A kUnknown (budget exhausted) covers
+    /// only budgets <= budget at caps <= max_steps; attempts that cross
+    /// (more budget, lower cap) are kept side by side, never merged into
+    /// a claim no run made, so the covered set does not depend on the
+    /// order attempts arrive in. In-memory only, never persisted.
     void record_wide_failure(int num_inputs, std::uint64_t canonical,
-                             long long budget, int max_steps);
+                             ExactSatStatus status, long long budget,
+                             int max_steps);
 
     [[nodiscard]] ExactCacheStats stats() const;
 
@@ -253,8 +267,13 @@ private:
         std::unordered_map<std::uint16_t, std::shared_ptr<const ExactStructure>> map;
     };
     struct WideFailure {
-        long long budget = 0;
-        int max_steps = 0;
+        /// Largest step cap proven chain-free; -1 = no proof.
+        int proven_steps = -1;
+        /// Budget-exhausted attempts as (budget, max_steps), none covering
+        /// another and none within the proven cap (a tiny Pareto set).
+        std::vector<std::pair<long long, int>> exhausted;
+
+        [[nodiscard]] bool covers(long long budget, int max_steps) const;
     };
     /// Wide classes are few (hundreds, each guarded by an expensive SAT
     /// call), so a single mutex over both per-n maps is not a bottleneck.

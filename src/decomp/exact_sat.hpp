@@ -74,12 +74,6 @@ struct ExactSatParams {
     int fence_min_steps = 6;
 };
 
-enum class ExactSatStatus : std::uint8_t {
-    kFound,    ///< chain found and validated against the full truth table
-    kUnsat,    ///< proven: no chain of <= max_steps steps computes tt
-    kUnknown,  ///< conflict budget exhausted before a verdict
-};
-
 struct ExactSatResult {
     ExactSatStatus status = ExactSatStatus::kUnknown;
     std::shared_ptr<const WideStructure> structure;  ///< kFound only

@@ -322,6 +322,14 @@ private:
         // cone on s variables needs >= ceil((s-1)/2) = s/2 gates. Skip the
         // solver entirely when even that floor cannot beat the gate limit.
         if (match->support_size / 2 >= gate_limit) return std::nullopt;
+        // Incumbent bound: a chain of gate_limit or more gates is never
+        // served, so the search stops below it. Chain length grows from the
+        // fanin floor and every shorter length is proven UNSAT first, so the
+        // trajectory (and its conflicts) up to the cap is the uncapped one:
+        // the capped search finds exactly the chains that would be served.
+        ExactSatParams sat_params;
+        sat_params.conflict_budget = ctx.params.exact_sat_budget;
+        sat_params.max_steps = std::min(ctx.params.exact_sat_max_steps, gate_limit - 1);
 
         ExactSynthesisCache& cache = ExactSynthesisCache::instance();
         std::shared_ptr<const WideStructure> structure =
@@ -329,21 +337,18 @@ private:
         if (structure != nullptr) {
             ++ctx.stats.exact_sat_cache_hits;
         } else if (cache.wide_failure_covers(match->support_size, match->canonical,
-                                             ctx.params.exact_sat_budget,
-                                             ctx.params.exact_sat_max_steps)) {
+                                             sat_params.conflict_budget,
+                                             sat_params.max_steps)) {
             ++ctx.stats.exact_sat_fallbacks;
             return std::nullopt;
         } else {
-            ExactSatParams sat_params;
-            sat_params.conflict_budget = ctx.params.exact_sat_budget;
-            sat_params.max_steps = ctx.params.exact_sat_max_steps;
             const ExactSatResult res = exact_sat_synthesize(
                 match->canonical, match->support_size, sat_params);
             ++ctx.stats.exact_sat_synthesized;
             ctx.stats.exact_sat_conflicts += res.conflicts;
             if (res.status != ExactSatStatus::kFound) {
                 cache.record_wide_failure(match->support_size, match->canonical,
-                                          sat_params.conflict_budget,
+                                          res.status, sat_params.conflict_budget,
                                           sat_params.max_steps);
                 ++ctx.stats.exact_sat_fallbacks;
                 return std::nullopt;

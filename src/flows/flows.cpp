@@ -132,8 +132,8 @@ std::vector<SynthesisResult> run_all_flows(const net::Network& input,
                                            const FlowOptions& options) {
     // The BDS flows checkpoint internally (between supernodes); the ABC
     // and DC passes are not interruptible, so check the token — and the
-    // hard deadline — at every flow boundary to keep "all"-flow jobs
-    // responsive to cancel() and shed-on-deadline.
+    // hard deadline — at every flow boundary, the last one included: a job
+    // that overran inside DC (or its sign-off) must not report completion.
     const auto checkpoint = [&options] {
         if (options.cancel != nullptr &&
             options.cancel->load(std::memory_order_relaxed)) {
@@ -150,12 +150,14 @@ std::vector<SynthesisResult> run_all_flows(const net::Network& input,
     out.push_back(flow_abc(input));
     checkpoint();
     out.push_back(flow_dc(input));
+    checkpoint();
     if (options.verify) {
         // The BDS flows signed off inside from_decomposition; ABC and DC
         // take no options, so their sign-off happens here.
         verify_synthesis_result(input, out[2], options.oracle);
         checkpoint();
         verify_synthesis_result(input, out[3], options.oracle);
+        checkpoint();
     }
     return out;
 }

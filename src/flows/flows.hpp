@@ -63,7 +63,8 @@ struct FlowOptions {
     const std::atomic<bool>* cancel = nullptr;
     /// Absolute hard deadline (DecompFlowParams::deadline semantics):
     /// checked at the per-supernode checkpoints of the BDS flows and at
-    /// every flow boundary in run_all_flows; once passed,
+    /// every flow boundary in run_all_flows, after the last flow too (a
+    /// job that overran inside DC never returns normally); once passed,
     /// decomp::DeadlineExceeded propagates out. The ABC/DC passes
     /// themselves are not interruptible. Unset = no deadline.
     std::optional<std::chrono::steady_clock::time_point> deadline;

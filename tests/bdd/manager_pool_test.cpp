@@ -50,6 +50,28 @@ TEST(ManagerReset, RestoresFreshStateAfterWorkload) {
     EXPECT_EQ(mgr.check_integrity(), "") << "reset left a broken invariant";
 }
 
+TEST(ManagerResetDeathTest, HandleHeldAcrossResetAborts) {
+#ifdef NDEBUG
+    GTEST_SKIP() << "the outstanding-handle check is a debug-build assertion";
+#else
+    // The dead-node cascade before the check must not hide a handle that
+    // really is still held.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            Manager mgr(4);
+            {
+                const Bdd dropped = build_workload(mgr);
+                (void)dropped;
+            }
+            const Bdd held = mgr.var_bdd(0) & mgr.var_bdd(1);
+            mgr.reset(4);
+            (void)held;
+        },
+        "outstanding Bdd handles");
+#endif
+}
+
 TEST(ManagerReset, ResetManagerBehavesLikeFreshOne) {
     // The strong form of fresh-equivalence: run the same workload on a
     // fresh manager and on a reset one (that previously ran a DIFFERENT
@@ -83,8 +105,10 @@ TEST(ManagerReset, CanGrowAndShrinkVariableCount) {
     { const Bdd f = build_workload(mgr); (void)f; }
     mgr.reset(12);
     EXPECT_EQ(mgr.num_vars(), 12);
-    const Bdd x = mgr.var_bdd(11);
-    EXPECT_FALSE(x.is_zero());
+    {
+        const Bdd x = mgr.var_bdd(11);  // released before the next reset
+        EXPECT_FALSE(x.is_zero());
+    }
     EXPECT_EQ(mgr.check_integrity(), "");
     { const Bdd f = mgr.var_bdd(0) & mgr.var_bdd(11); (void)f; }
     mgr.reset(2);

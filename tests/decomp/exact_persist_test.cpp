@@ -323,7 +323,8 @@ TEST(ExactPersist, WideSaveIsSortedDeterministicAndSkipsFailures) {
     ASSERT_NE(kept, nullptr);
     EXPECT_EQ(kept->gate_count(), five.gate_count());
 
-    cache.record_wide_failure(5, 0x123456789ULL & 0xffffffffULL, 10000, 8);
+    cache.record_wide_failure(5, 0x123456789ULL & 0xffffffffULL,
+                              ExactSatStatus::kUnknown, 10000, 8);
     ASSERT_EQ(cache.stats().wide_failures_recorded, 1);
 
     std::string expected("BMXC");

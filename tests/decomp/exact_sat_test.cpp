@@ -308,11 +308,34 @@ TEST(ExactSat, WideCacheInsertLookupAndNegativeEntries) {
     EXPECT_EQ(cache.lookup_wide(5, cls), nullptr);
 
     // A failure record covers retries at equal-or-lower effort only.
-    cache.record_wide_failure(5, cls, 1000, 6);
+    cache.record_wide_failure(5, cls, ExactSatStatus::kUnknown, 1000, 6);
     EXPECT_TRUE(cache.wide_failure_covers(5, cls, 1000, 6));
     EXPECT_TRUE(cache.wide_failure_covers(5, cls, 500, 4));
     EXPECT_FALSE(cache.wide_failure_covers(5, cls, 2000, 6));
     EXPECT_FALSE(cache.wide_failure_covers(5, cls, 1000, 8));
+
+    // Crossed exhaustions each cover their own corner and are never merged
+    // into (1000, 8), which no run tried, in either arrival order.
+    const std::uint64_t other = cls ^ 0x10;
+    cache.record_wide_failure(5, cls, ExactSatStatus::kUnknown, 500, 8);
+    cache.record_wide_failure(5, other, ExactSatStatus::kUnknown, 500, 8);
+    cache.record_wide_failure(5, other, ExactSatStatus::kUnknown, 1000, 6);
+    for (const std::uint64_t c : {cls, other}) {
+        EXPECT_TRUE(cache.wide_failure_covers(5, c, 1000, 6));
+        EXPECT_TRUE(cache.wide_failure_covers(5, c, 500, 8));
+        EXPECT_FALSE(cache.wide_failure_covers(5, c, 1000, 8));
+        EXPECT_FALSE(cache.wide_failure_covers(5, c, 700, 7));
+    }
+
+    // A kUnsat is a proof, not a budget verdict: it covers every budget up
+    // to its cap. MAJ-5 needs 4 steps, so a cap of 3 proves impossibility.
+    ExactSatParams capped;
+    capped.max_steps = 3;
+    const ExactSatResult proof = exact_sat_synthesize(cls, 5, capped);
+    ASSERT_EQ(proof.status, ExactSatStatus::kUnsat);
+    cache.record_wide_failure(5, cls, proof.status, capped.conflict_budget, 3);
+    EXPECT_TRUE(cache.wide_failure_covers(5, cls, 1'000'000, 3));
+    EXPECT_FALSE(cache.wide_failure_covers(5, cls, 1'000'000, 4));
 
     const ExactSatResult res = exact_sat_synthesize(cls, 5);
     ASSERT_EQ(res.status, ExactSatStatus::kFound);
@@ -329,6 +352,76 @@ TEST(ExactSat, WideCacheInsertLookupAndNegativeEntries) {
 
     EXPECT_GE(cache.stats().wide_classes_cached, 1);
     EXPECT_GE(cache.stats().wide_hits, 1u);
+}
+
+/// Classes with a known minimum chain length r*, for the cap contract the
+/// strategy's incumbent bound relies on. `fence_min_steps` 3 moves the
+/// search into the per-fence solvers.
+struct MinChain {
+    const char* name;
+    std::uint64_t tt;
+    int inputs;
+    int fence_min_steps;
+    int min_steps;
+};
+
+std::vector<MinChain> min_chain_classes() {
+    const std::uint64_t x0 = 0xaaaaaaaaaaaaaaaaULL;
+    const std::uint64_t x1 = 0xccccccccccccccccULL;
+    const std::uint64_t x2 = 0xf0f0f0f0f0f0f0f0ULL;
+    const std::uint64_t x3 = 0xff00ff00ff00ff00ULL;
+    const std::uint64_t x4 = 0xffff0000ffff0000ULL;
+    const std::uint64_t x5 = 0xffffffff00000000ULL;
+    const auto maj = [](std::uint64_t a, std::uint64_t b, std::uint64_t c) {
+        return (a & b) | (a & c) | (b & c);
+    };
+    const std::uint64_t m5 = mask_of(5);
+    const std::uint64_t mux_tree6 = (x0 & (x1 ^ x2)) | (~x0 & maj(x3, x4, x5));
+    return {
+        {"maj5", maj5_tt(), 5, 6, 4},
+        {"parity5", parity_tt(5), 5, 6, 4},
+        {"and5", x0 & x1 & x2 & x3 & x4 & m5, 5, 6, 4},
+        {"maj_of_maj", maj(maj(x0, x1, x2), x3, x4) & m5, 5, 6, 2},
+        {"maj_with_parity", maj(x0, x1, x2 ^ x3 ^ x4) & m5, 5, 6, 3},
+        {"parity6", parity_tt(6), 6, 6, 5},
+        {"mux_tree6", mux_tree6, 6, 6, 3},
+        {"maj_xor_maj6", maj(x0, x1, x2) ^ maj(x3, x4, x5), 6, 6, 3},
+        {"parity5_fences", parity_tt(5), 5, 3, 4},
+        {"mux_tree6_fences", mux_tree6, 6, 3, 3},
+    };
+}
+
+TEST(ExactSat, CappingAtTheMinimumChainLengthChangesNothing) {
+    // The search grows r from its fanin floor and proves every shorter
+    // length UNSAT first, so a cap at r* replays the uncapped trajectory
+    // exactly (same chain, same conflicts) and a cap at r* - 1 finds
+    // nothing. Found chains have exactly steps_tried live gates.
+    for (const MinChain& c : min_chain_classes()) {
+        SCOPED_TRACE(c.name);
+        ExactSatParams uncapped;
+        uncapped.max_steps = 8;
+        uncapped.fence_min_steps = c.fence_min_steps;
+        const ExactSatResult full = exact_sat_synthesize(c.tt, c.inputs, uncapped);
+        ASSERT_EQ(full.status, ExactSatStatus::kFound);
+        EXPECT_EQ(full.structure->gate_count(), c.min_steps);
+        EXPECT_EQ(full.structure->gate_count(), full.steps_tried);
+
+        ExactSatParams at_min = uncapped;
+        at_min.max_steps = c.min_steps;
+        const ExactSatResult capped = exact_sat_synthesize(c.tt, c.inputs, at_min);
+        ASSERT_EQ(capped.status, ExactSatStatus::kFound);
+        EXPECT_TRUE(same_program(*capped.structure, *full.structure));
+        EXPECT_EQ(capped.conflicts, full.conflicts);
+        EXPECT_EQ(capped.steps_tried, full.steps_tried);
+        EXPECT_EQ(capped.structure->gate_count(), capped.steps_tried);
+
+        ExactSatParams below = uncapped;
+        below.max_steps = c.min_steps - 1;
+        const ExactSatResult none = exact_sat_synthesize(c.tt, c.inputs, below);
+        EXPECT_EQ(none.status, ExactSatStatus::kUnsat);
+        EXPECT_EQ(none.structure, nullptr);
+        EXPECT_LE(none.conflicts, full.conflicts);
+    }
 }
 
 }  // namespace

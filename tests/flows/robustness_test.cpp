@@ -13,6 +13,7 @@
 
 #include "benchgen/suite.hpp"
 #include "decomp/flow.hpp"
+#include "flows/flows.hpp"
 #include "flows/service.hpp"
 #include "network/blif.hpp"
 #include "network/simulate.hpp"
@@ -71,6 +72,36 @@ TEST(Robustness, DeadlinedHeavyJobYieldsDeadlineExceeded) {
     EXPECT_EQ(r.status, JobStatus::kDeadlineExceeded);
     EXPECT_TRUE(r.results.empty());
     EXPECT_EQ(service.stats().deadline_exceeded, 1);
+}
+
+TEST(Robustness, RunAllFlowsNeverCompletesPastItsDeadline) {
+    // Deadlines placed a quarter, half and three quarters into the DC
+    // flow, as timed just before in this process: the call may stop at a
+    // checkpoint with DeadlineExceeded, but if it returns normally it must
+    // return before its deadline. A deadline that expires inside the last
+    // flow is caught by the checkpoint after it, whatever the machine speed.
+    using Clock = std::chrono::steady_clock;
+    const Network input = benchgen::benchmark_by_name("dalu", /*quick=*/true);
+    (void)run_all_flows(input, FlowOptions{});  // warm the process-wide caches
+    const auto t0 = Clock::now();
+    (void)flow_bdsmaj(input, FlowOptions{});
+    (void)flow_bdspga(input, FlowOptions{});
+    (void)flow_abc(input);
+    const auto t1 = Clock::now();
+    (void)flow_dc(input);
+    const auto t2 = Clock::now();
+    for (const double into_dc : {0.25, 0.5, 0.75}) {
+        FlowOptions options;
+        options.deadline =
+            Clock::now() + (t1 - t0) +
+            std::chrono::duration_cast<Clock::duration>((t2 - t1) * into_dc);
+        try {
+            const std::vector<SynthesisResult> results = run_all_flows(input, options);
+            EXPECT_LE(Clock::now(), *options.deadline)
+                << "completed past a deadline " << into_dc << " into DC";
+        } catch (const decomp::DeadlineExceeded&) {
+        }
+    }
 }
 
 TEST(Robustness, TightSoftBudgetDegradesButCompletesVerified) {
