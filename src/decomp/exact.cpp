@@ -385,27 +385,46 @@ bool ExactSynthesisCache::wide_slot(int num_inputs, std::size_t* slot) {
 }
 
 std::shared_ptr<const WideStructure> ExactSynthesisCache::lookup_wide(
-    int num_inputs, std::uint64_t canonical) {
+    int num_inputs, std::uint64_t canonical, WideSynthesisCost* cost) {
     std::size_t slot;
     if (!wide_slot(num_inputs, &slot)) return nullptr;
     std::lock_guard<std::mutex> lock(wide_.mutex);
     const auto it = wide_.map[slot].find(canonical);
     if (it != wide_.map[slot].end()) {
         wide_hits_.fetch_add(1, std::memory_order_relaxed);
-        return it->second;
+        if (cost != nullptr) *cost = it->second.cost;
+        return it->second.structure;
     }
     wide_misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
 }
 
 std::shared_ptr<const WideStructure> ExactSynthesisCache::insert_wide(
-    std::shared_ptr<const WideStructure> s) {
+    std::shared_ptr<const WideStructure> s, WideSynthesisCost cost) {
     std::size_t slot;
     if (s == nullptr || !wide_slot(s->num_inputs, &slot)) return nullptr;
     std::lock_guard<std::mutex> lock(wide_.mutex);
-    const auto [it, inserted] = wide_.map[slot].emplace(s->canonical, std::move(s));
-    if (inserted) wide_.failures[slot].erase(it->first);
-    return it->second;
+    const std::uint64_t canonical = s->canonical;
+    const auto [it, inserted] =
+        wide_.map[slot].emplace(canonical, WideEntry{std::move(s), cost});
+    if (inserted) wide_.failures[slot].erase(canonical);
+    return it->second.structure;
+}
+
+void ExactSynthesisCache::clear() {
+    for (Shard& shard : shards_) {
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        shard.map.clear();
+    }
+    {
+        std::lock_guard<std::mutex> lock(wide_.mutex);
+        for (auto& per_n : wide_.map) per_n.clear();
+        for (auto& per_n : wide_.failures) per_n.clear();
+    }
+    hits_.store(0, std::memory_order_relaxed);
+    misses_.store(0, std::memory_order_relaxed);
+    wide_hits_.store(0, std::memory_order_relaxed);
+    wide_misses_.store(0, std::memory_order_relaxed);
 }
 
 bool ExactSynthesisCache::WideFailure::covers(long long budget,
@@ -552,8 +571,8 @@ int ExactSynthesisCache::save_to_file(const std::string& path) const {
     {
         std::lock_guard<std::mutex> lock(wide_.mutex);
         for (const auto& per_n : wide_.map) {
-            for (const auto& [canonical, structure] : per_n) {
-                wide_entries.push_back(structure);
+            for (const auto& [canonical, entry] : per_n) {
+                wide_entries.push_back(entry.structure);
             }
         }
     }
@@ -696,7 +715,10 @@ int ExactSynthesisCache::load_from_file(const std::string& path) {
         std::size_t slot;
         if (!wide_slot(s->num_inputs, &slot)) continue;
         std::lock_guard<std::mutex> lock(wide_.mutex);
-        if (wide_.map[slot].emplace(s->canonical, std::move(s)).second) ++inserted;
+        const std::uint64_t canonical = s->canonical;
+        if (wide_.map[slot].emplace(canonical, WideEntry{std::move(s), {}}).second) {
+            ++inserted;
+        }
     }
     return inserted;
 }

@@ -177,6 +177,25 @@ enum class ExactSatStatus : std::uint8_t {
     kUnknown,  ///< conflict budget exhausted before a verdict
 };
 
+/// Effort of the synthesis that found a cached wide program: the
+/// conflicts it spent and the chain length it reached. A chain is found
+/// only after every shorter length is proven chain-free, and a search
+/// replays the same trajectory at any budget or step cap until it stops,
+/// so a cold synthesis at (budget, max_steps) finds exactly this program
+/// iff budget > conflicts and max_steps >= steps_tried; with less budget
+/// it stops on its last conflict, with a smaller cap no chain exists.
+/// -1 = unknown (an entry prewarmed from disk).
+struct WideSynthesisCost {
+    long long conflicts = -1;
+    int steps_tried = -1;
+
+    /// True when a cold synthesis at this effort finds the program; always
+    /// true for an unknown cost (prewarmed entries are served as they are).
+    [[nodiscard]] bool reproduced_by(long long budget, int max_steps) const noexcept {
+        return conflicts < 0 || (budget > conflicts && max_steps >= steps_tried);
+    }
+};
+
 /// Telemetry of the process-wide class cache.
 struct ExactCacheStats {
     std::uint64_t hits = 0;
@@ -226,16 +245,23 @@ public:
 
     /// Program for a wide canonical class, or nullptr when none has been
     /// synthesized yet (the SAT backend is on-demand; a miss here is the
-    /// caller's cue to synthesize). Thread-safe.
+    /// caller's cue to synthesize). `cost` (optional) receives the effort
+    /// recorded with the program. Thread-safe.
     [[nodiscard]] std::shared_ptr<const WideStructure> lookup_wide(
-        int num_inputs, std::uint64_t canonical);
+        int num_inputs, std::uint64_t canonical, WideSynthesisCost* cost = nullptr);
 
-    /// Publish a synthesized program; first insert wins (racing workers
-    /// that synthesized the same class concurrently converge on the first
-    /// published copy). Returns the canonical in-cache pointer. Clears any
-    /// negative entry for the class.
+    /// Publish a synthesized program with the effort that found it; first
+    /// insert wins (racing workers that synthesized the same class
+    /// concurrently found the same program at the same cost). Returns the
+    /// canonical in-cache pointer. Clears any negative entry for the class.
     std::shared_ptr<const WideStructure> insert_wide(
-        std::shared_ptr<const WideStructure> s);
+        std::shared_ptr<const WideStructure> s, WideSynthesisCost cost = {});
+
+    /// Drop every materialized class, wide program and negative entry, and
+    /// zero the telemetry: the state of a fresh process, for tests that
+    /// must not depend on what ran before them. Thread-safe; programs
+    /// already handed out stay valid (they are shared).
+    void clear();
 
     /// True when a synthesis at (budget, max_steps) is known to fail: a
     /// recorded proof covers the step cap, or one recorded budget-exhausted
@@ -275,15 +301,16 @@ private:
 
         [[nodiscard]] bool covers(long long budget, int max_steps) const;
     };
+    struct WideEntry {
+        std::shared_ptr<const WideStructure> structure;
+        WideSynthesisCost cost;
+    };
     /// Wide classes are few (hundreds, each guarded by an expensive SAT
     /// call), so a single mutex over both per-n maps is not a bottleneck.
     struct WideStore {
         mutable std::mutex mutex;
         // Index 0 holds 5-input classes, index 1 holds 6-input classes.
-        std::array<std::unordered_map<std::uint64_t,
-                                      std::shared_ptr<const WideStructure>>,
-                   2>
-            map;
+        std::array<std::unordered_map<std::uint64_t, WideEntry>, 2> map;
         std::array<std::unordered_map<std::uint64_t, WideFailure>, 2> failures;
     };
     static bool wide_slot(int num_inputs, std::size_t* slot);

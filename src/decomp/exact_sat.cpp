@@ -534,13 +534,13 @@ public:
             for (;;) {
                 const long long remaining = params_.conflict_budget - spent_;
                 if (remaining <= 0) {
-                    finish(res, ExactSatStatus::kUnknown);
+                    finish(res, ExactSatStatus::kUnknown, &flat);
                     return res;
                 }
                 const sat::SolveResult sr = solve(flat, {guard}, remaining);
                 ++res.sat_calls;
                 if (sr == sat::SolveResult::kUnknown) {
-                    finish(res, ExactSatStatus::kUnknown);
+                    finish(res, ExactSatStatus::kUnknown, &flat);
                     return res;
                 }
                 if (sr == sat::SolveResult::kUnsat) {
@@ -551,7 +551,7 @@ public:
                 const ChainEncoding::Decoded d = flat.decode();
                 if (d.tt == g) {
                     res.structure = build_structure(d, tt_, n_, out_compl);
-                    finish(res, ExactSatStatus::kFound);
+                    finish(res, ExactSatStatus::kFound, &flat);
                     return res;
                 }
                 const std::uint32_t cex = next_counterexample(d.tt, g);
@@ -560,6 +560,7 @@ public:
                 flat.add_output_binding(mi, guard);
             }
         }
+        retired_stats_ += flat.solver().stats();
 
         // Fence phase: per-(r, fence) solvers over restricted triples.
         for (int r = std::max(r_min, params_.fence_min_steps);
@@ -577,13 +578,13 @@ public:
                 while (!fence_done) {
                     const long long remaining = params_.conflict_budget - spent_;
                     if (remaining <= 0) {
-                        finish(res, ExactSatStatus::kUnknown);
+                        finish(res, ExactSatStatus::kUnknown, &enc);
                         return res;
                     }
                     const sat::SolveResult sr = solve(enc, {}, remaining);
                     ++res.sat_calls;
                     if (sr == sat::SolveResult::kUnknown) {
-                        finish(res, ExactSatStatus::kUnknown);
+                        finish(res, ExactSatStatus::kUnknown, &enc);
                         return res;
                     }
                     if (sr == sat::SolveResult::kUnsat) {
@@ -593,7 +594,7 @@ public:
                     const ChainEncoding::Decoded d = enc.decode();
                     if (d.tt == g) {
                         res.structure = build_structure(d, tt_, n_, out_compl);
-                        finish(res, ExactSatStatus::kFound);
+                        finish(res, ExactSatStatus::kFound, &enc);
                         return res;
                     }
                     const std::uint32_t cex = next_counterexample(d.tt, g);
@@ -601,6 +602,7 @@ public:
                     const int mi = enc.add_minterm(cex);
                     enc.add_output_binding(mi);
                 }
+                retired_stats_ += enc.solver().stats();
             }
         }
         finish(res, ExactSatStatus::kUnsat);
@@ -655,9 +657,14 @@ private:
         return static_cast<std::uint32_t>(std::countr_zero(diff));
     }
 
-    void finish(ExactSatResult& res, ExactSatStatus status) const {
+    /// `live` is the encoding still searching when the call ends (its
+    /// solver's counters are not in retired_stats_ yet), if any.
+    void finish(ExactSatResult& res, ExactSatStatus status,
+                ChainEncoding* live = nullptr) const {
         res.status = status;
         res.conflicts = spent_;
+        res.solver_stats = retired_stats_;
+        if (live != nullptr) res.solver_stats += live->solver().stats();
     }
 
     std::uint64_t tt_;
@@ -665,6 +672,7 @@ private:
     ExactSatParams params_;
     std::uint64_t mask_;
     long long spent_ = 0;
+    sat::SolverStats retired_stats_;  ///< solvers this call is done with
     std::vector<std::uint32_t> minterms_;  ///< shared across fences
 };
 

@@ -58,6 +58,7 @@
 #include "bdd/bdd.hpp"
 #include "decomp/exact.hpp"
 #include "network/gate_sink.hpp"
+#include "sat/solver.hpp"
 #include "tt/npn.hpp"
 
 namespace bdsmaj::decomp {
@@ -80,6 +81,10 @@ struct ExactSatResult {
     long long conflicts = 0;  ///< solver conflicts actually spent
     int sat_calls = 0;
     int steps_tried = 0;  ///< last chain length attempted
+    /// Search counters summed over every solver the call built, counted
+    /// from each solver's creation (clause loading included) to its last
+    /// solve: the trajectory fingerprint a solver change must preserve.
+    sat::SolverStats solver_stats;
 };
 
 /// Synthesize a minimum-length chain computing the n-variable function

@@ -332,10 +332,17 @@ private:
         sat_params.max_steps = std::min(ctx.params.exact_sat_max_steps, gate_limit - 1);
 
         ExactSynthesisCache& cache = ExactSynthesisCache::instance();
+        WideSynthesisCost cost;
         std::shared_ptr<const WideStructure> structure =
-            cache.lookup_wide(match->support_size, match->canonical);
+            cache.lookup_wide(match->support_size, match->canonical, &cost);
         if (structure != nullptr) {
             ++ctx.stats.exact_sat_cache_hits;
+            // Serve only what this job's own cold synthesis would find: a
+            // chain found with more budget (or a longer cap) by an earlier
+            // job must not leak into this one.
+            if (!cost.reproduced_by(sat_params.conflict_budget, sat_params.max_steps)) {
+                return std::nullopt;
+            }
         } else if (cache.wide_failure_covers(match->support_size, match->canonical,
                                              sat_params.conflict_budget,
                                              sat_params.max_steps)) {
@@ -353,7 +360,8 @@ private:
                 ++ctx.stats.exact_sat_fallbacks;
                 return std::nullopt;
             }
-            structure = cache.insert_wide(res.structure);
+            structure = cache.insert_wide(
+                res.structure, WideSynthesisCost{res.conflicts, res.steps_tried});
         }
         if (structure->gate_count() >= gate_limit) return std::nullopt;
         Candidate cand;

@@ -32,11 +32,11 @@ constexpr std::int64_t kRestartUnit = 128;
 Solver::Solver() = default;
 
 Var Solver::new_var() {
-    const Var v = static_cast<Var>(assign_.size());
-    assign_.push_back(Value::kUndef);
+    const Var v = static_cast<Var>(vardata_.size());
+    lit_val_.push_back(Value::kUndef);
+    lit_val_.push_back(Value::kUndef);
     model_.push_back(Value::kUndef);
-    reason_.push_back(kNoClause);
-    level_.push_back(0);
+    vardata_.push_back({});
     activity_.push_back(0.0);
     heap_pos_.push_back(-1);
     polarity_.push_back(0);
@@ -48,18 +48,22 @@ Var Solver::new_var() {
 }
 
 Value Solver::fixed_value(Var v) const {
-    const std::size_t i = static_cast<std::size_t>(v);
-    if (assign_[i] == Value::kUndef || level_[i] != 0) return Value::kUndef;
-    return assign_[i];
+    const Value val = value(Lit::make(v));
+    if (val == Value::kUndef || vardata_[static_cast<std::size_t>(v)].level != 0) {
+        return Value::kUndef;
+    }
+    return val;
 }
 
-Solver::ClauseRef Solver::alloc_clause(const std::vector<Lit>& lits, bool learnt) {
+Solver::ClauseRef Solver::alloc_clause(std::span<const Lit> lits, bool learnt) {
     const ClauseRef c = static_cast<ClauseRef>(arena_.size());
     arena_.push_back((static_cast<std::uint32_t>(lits.size()) << 2) |
                      (learnt ? 2u : 0u));
-    if (learnt) arena_.push_back(0);  // activity slot
-    if (learnt) clause_activity(c) = 0.0f;
     for (const Lit p : lits) arena_.push_back(static_cast<std::uint32_t>(p.x));
+    if (learnt) {
+        arena_.push_back(0);  // activity slot
+        clause_activity(c) = 0.0f;
+    }
     return c;
 }
 
@@ -83,98 +87,96 @@ void Solver::detach_clause(ClauseRef c) {
     }
 }
 
-bool Solver::add_clause(std::vector<Lit> lits) {
+bool Solver::add_clause(std::span<const Lit> lits) {
     if (!ok_) return false;
     // Adding clauses is only legal at level 0 (between solve() calls).
     cancel_until(0);
-    std::sort(lits.begin(), lits.end(),
+    add_tmp_.assign(lits.begin(), lits.end());
+    std::sort(add_tmp_.begin(), add_tmp_.end(),
               [](Lit a, Lit b) { return a.x < b.x; });
-    std::vector<Lit> out;
-    out.reserve(lits.size());
+    // Compact in place: the kept prefix never overtakes the read cursor.
+    std::size_t kept = 0;
     Lit prev = kUndefLit;
-    for (const Lit p : lits) {
+    for (const Lit p : add_tmp_) {
         if (p == prev) continue;
         if (p == ~prev) return true;  // tautology
         const Value v = value(p);
         if (v == Value::kTrue) return true;  // satisfied at level 0
-        if (v == Value::kFalse) {
-            prev = p;
-            continue;  // falsified at level 0: drop the literal
-        }
-        out.push_back(p);
         prev = p;
+        if (v == Value::kFalse) continue;  // falsified at level 0: drop the literal
+        add_tmp_[kept++] = p;
     }
-    if (out.empty()) {
+    add_tmp_.resize(kept);
+    if (add_tmp_.empty()) {
         ok_ = false;
         return false;
     }
-    if (out.size() == 1) {
-        unchecked_enqueue(out[0], kNoClause);
+    if (add_tmp_.size() == 1) {
+        unchecked_enqueue(add_tmp_[0], kNoClause);
         if (propagate() != kNoClause) ok_ = false;
         return ok_;
     }
-    const ClauseRef c = alloc_clause(out, /*learnt=*/false);
+    const ClauseRef c = alloc_clause(add_tmp_, /*learnt=*/false);
     clauses_.push_back(c);
     attach_clause(c);
     return true;
 }
 
-void Solver::unchecked_enqueue(Lit p, ClauseRef reason) {
-    const std::size_t v = static_cast<std::size_t>(p.var());
-    assign_[v] = p.negated() ? Value::kFalse : Value::kTrue;
-    reason_[v] = reason;
-    level_[v] = decision_level();
-    trail_.push_back(p);
-}
-
 Solver::ClauseRef Solver::propagate() {
+    // Visit order, blocker rule and watch moves are those of the textbook
+    // two-watched-literal loop; only the bookkeeping is lean: raw watcher
+    // pointers, per-literal values, literals at a fixed clause offset.
     ClauseRef confl = kNoClause;
+    const Value* const val = lit_val_.data();
     while (qhead_ < trail_.size()) {
         const Lit p = trail_[qhead_++];  // p became true
         ++stats_.propagations;
-        auto& ws = watches_[static_cast<std::size_t>(p.x)];
-        std::size_t i = 0, j = 0;
-        while (i < ws.size()) {
-            const Watcher w = ws[i];
+        std::vector<Watcher>& ws = watches_[static_cast<std::size_t>(p.x)];
+        const Lit false_lit = ~p;
+        Watcher* i = ws.data();
+        Watcher* j = i;
+        Watcher* const end = i + ws.size();
+        while (i != end) {
             // Blocker short-circuit: clause already satisfied.
-            if (value(w.blocker) == Value::kTrue) {
-                ws[j++] = ws[i++];
+            const Lit blocker = i->blocker;
+            if (val[blocker.x] == Value::kTrue) [[likely]] {
+                *j++ = *i++;
                 continue;
             }
-            const ClauseRef c = w.cref;
-            Lit* lits = clause_lits(c);
-            const std::uint32_t size = clause_size(c);
-            // Normalize: the falsified watch (~p) goes to slot 1.
-            const Lit false_lit = ~p;
-            if (lits[0] == false_lit) std::swap(lits[0], lits[1]);
+            const ClauseRef c = i->cref;
             ++i;
-            const Lit first = lits[0];
-            if (first != w.blocker && value(first) == Value::kTrue) {
-                ws[j++] = {c, first};
+            Lit* lits = clause_lits(c);
+            // Normalize: the falsified watch (~p) goes to slot 1. It is
+            // one of the two watched slots, so this is a branch-free swap.
+            const Lit first = lits[0] == false_lit ? lits[1] : lits[0];
+            lits[0] = first;
+            lits[1] = false_lit;
+            // (first == blocker cannot be true here: the blocker test failed.)
+            const Value first_val = val[first.x];
+            if (first_val == Value::kTrue) {
+                *j++ = {c, first};
                 continue;
             }
-            bool moved = false;
-            for (std::uint32_t k = 2; k < size; ++k) {
-                if (value(lits[k]) != Value::kFalse) {
-                    lits[1] = lits[k];
-                    lits[k] = false_lit;
-                    watches_[static_cast<std::size_t>((~lits[1]).x)].push_back({c, first});
-                    moved = true;
-                    break;
-                }
+            const Lit* const lits_end = lits + clause_size(c);
+            Lit* k = lits + 2;
+            while (k != lits_end && val[k->x] == Value::kFalse) ++k;
+            if (k != lits_end) {
+                lits[1] = *k;
+                *k = false_lit;
+                watches_[static_cast<std::size_t>(lits[1].x ^ 1)].push_back({c, first});
+                continue;
             }
-            if (moved) continue;
             // Unit or conflicting.
-            ws[j++] = {c, first};
-            if (value(first) == Value::kFalse) {
+            *j++ = {c, first};
+            if (first_val == Value::kFalse) {
                 confl = c;
                 qhead_ = trail_.size();
-                while (i < ws.size()) ws[j++] = ws[i++];
+                while (i != end) *j++ = *i++;
             } else {
                 unchecked_enqueue(first, c);
             }
         }
-        ws.resize(j);
+        ws.resize(static_cast<std::size_t>(j - ws.data()));
         if (confl != kNoClause) break;
     }
     return confl;
@@ -208,18 +210,22 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btl
     int path_count = 0;
     Lit p = kUndefLit;
     std::size_t index = trail_.size();
+    const VarData* const vd = vardata_.data();
+    std::uint8_t* const seen = seen_.data();
+    const int level_now = decision_level();
 
     do {
-        Lit* lits = clause_lits(confl);
+        const Lit* lits = clause_lits(confl);
         const std::uint32_t size = clause_size(confl);
         if (clause_learnt(confl)) clause_bump(confl);
         for (std::uint32_t k = (p == kUndefLit ? 0 : 1); k < size; ++k) {
             const Lit q = lits[k];
             const std::size_t v = static_cast<std::size_t>(q.var());
-            if (seen_[v] == 0 && level_[v] > 0) {
+            const std::int32_t lv = vd[v].level;
+            if (seen[v] == 0 && lv > 0) {
                 var_bump(q.var());
-                seen_[v] = 1;
-                if (level_[v] >= decision_level()) {
+                seen[v] = 1;
+                if (lv >= level_now) {
                     ++path_count;
                 } else {
                     out_learnt.push_back(q);
@@ -227,11 +233,11 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btl
             }
         }
         // Walk the trail back to the next marked literal.
-        while (seen_[static_cast<std::size_t>(trail_[index - 1].var())] == 0) --index;
+        while (seen[static_cast<std::size_t>(trail_[index - 1].var())] == 0) --index;
         --index;
         p = trail_[index];
-        confl = reason_[static_cast<std::size_t>(p.var())];
-        seen_[static_cast<std::size_t>(p.var())] = 0;
+        confl = vd[static_cast<std::size_t>(p.var())].reason;
+        seen[static_cast<std::size_t>(p.var())] = 0;
         --path_count;
     } while (path_count > 0);
     out_learnt[0] = ~p;
@@ -243,15 +249,15 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btl
     std::size_t j = 1;
     for (std::size_t i = 1; i < out_learnt.size(); ++i) {
         const Lit q = out_learnt[i];
-        const ClauseRef r = reason_[static_cast<std::size_t>(q.var())];
+        const ClauseRef r = vd[static_cast<std::size_t>(q.var())].reason;
         bool redundant = false;
         if (r != kNoClause) {
             redundant = true;
-            Lit* rl = clause_lits(r);
+            const Lit* rl = clause_lits(r);
             const std::uint32_t rs = clause_size(r);
             for (std::uint32_t k = 0; k < rs; ++k) {
                 const std::size_t v = static_cast<std::size_t>(rl[k].var());
-                if (seen_[v] == 0 && level_[v] > 0) {
+                if (seen[v] == 0 && vd[v].level > 0) {
                     redundant = false;
                     break;
                 }
@@ -269,19 +275,21 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btl
     out_btlevel = 0;
     if (out_learnt.size() > 1) {
         std::size_t max_i = 1;
+        std::int32_t max_level = vd[static_cast<std::size_t>(out_learnt[1].var())].level;
         for (std::size_t i = 2; i < out_learnt.size(); ++i) {
-            if (level_[static_cast<std::size_t>(out_learnt[i].var())] >
-                level_[static_cast<std::size_t>(out_learnt[max_i].var())]) {
+            const std::int32_t lv = vd[static_cast<std::size_t>(out_learnt[i].var())].level;
+            if (lv > max_level) {
                 max_i = i;
+                max_level = lv;
             }
         }
         std::swap(out_learnt[1], out_learnt[max_i]);
-        out_btlevel = level_[static_cast<std::size_t>(out_learnt[1].var())];
+        out_btlevel = max_level;
     }
     for (const Lit q : analyze_clear_) {
-        if (q != kUndefLit) seen_[static_cast<std::size_t>(q.var())] = 0;
+        if (q != kUndefLit) seen[static_cast<std::size_t>(q.var())] = 0;
     }
-    seen_[static_cast<std::size_t>(p.var())] = 0;
+    seen[static_cast<std::size_t>(p.var())] = 0;
 }
 
 void Solver::analyze_final(Lit p) {
@@ -291,19 +299,17 @@ void Solver::analyze_final(Lit p) {
     if (decision_level() == 0) return;
     seen_[static_cast<std::size_t>(p.var())] = 1;
     for (std::size_t i = trail_.size(); i-- > static_cast<std::size_t>(trail_lim_[0]);) {
-        const Var v = trail_[i].var();
-        const std::size_t vi = static_cast<std::size_t>(v);
+        const std::size_t vi = static_cast<std::size_t>(trail_[i].var());
         if (seen_[vi] == 0) continue;
-        const ClauseRef r = reason_[vi];
-        if (r == kNoClause) {
-            if (level_[vi] > 0) conflict_.push_back(~trail_[i]);
+        const VarData& d = vardata_[vi];
+        if (d.reason == kNoClause) {
+            if (d.level > 0) conflict_.push_back(~trail_[i]);
         } else {
-            Lit* lits = clause_lits(r);
-            const std::uint32_t size = clause_size(r);
+            const Lit* lits = clause_lits(d.reason);
+            const std::uint32_t size = clause_size(d.reason);
             for (std::uint32_t k = 1; k < size; ++k) {
-                if (level_[static_cast<std::size_t>(lits[k].var())] > 0) {
-                    seen_[static_cast<std::size_t>(lits[k].var())] = 1;
-                }
+                const std::size_t v = static_cast<std::size_t>(lits[k].var());
+                if (vardata_[v].level > 0) seen_[v] = 1;
             }
         }
         seen_[vi] = 0;
@@ -315,11 +321,13 @@ void Solver::cancel_until(int target) {
     if (decision_level() <= target) return;
     const std::int32_t limit = trail_lim_[static_cast<std::size_t>(target)];
     for (std::size_t i = trail_.size(); i-- > static_cast<std::size_t>(limit);) {
-        const Var v = trail_[i].var();
+        const Lit p = trail_[i];  // true until now
+        const Var v = p.var();
         const std::size_t vi = static_cast<std::size_t>(v);
-        polarity_[vi] = assign_[vi] == Value::kTrue ? 1 : 0;  // phase saving
-        assign_[vi] = Value::kUndef;
-        reason_[vi] = kNoClause;
+        polarity_[vi] = p.negated() ? 0 : 1;  // phase saving
+        lit_val_[static_cast<std::size_t>(p.x)] = Value::kUndef;
+        lit_val_[static_cast<std::size_t>(p.x ^ 1)] = Value::kUndef;
+        vardata_[vi].reason = kNoClause;
         if (heap_pos_[vi] < 0) heap_insert(v);
     }
     trail_.resize(static_cast<std::size_t>(limit));
@@ -383,7 +391,7 @@ void Solver::heap_sift_down(int i) {
 Lit Solver::pick_branch_lit() {
     while (!heap_.empty()) {
         const Var v = heap_pop();
-        if (assign_[static_cast<std::size_t>(v)] == Value::kUndef) {
+        if (value(Lit::make(v)) == Value::kUndef) {
             return Lit::make(v, polarity_[static_cast<std::size_t>(v)] == 0);
         }
     }
@@ -408,7 +416,7 @@ void Solver::reduce_db() {
     for (std::size_t i = 0; i < live.size(); ++i) {
         const ClauseRef c = live[i];
         Lit* lits = clause_lits(c);
-        const bool locked = reason_[static_cast<std::size_t>(lits[0].var())] == c &&
+        const bool locked = vardata_[static_cast<std::size_t>(lits[0].var())].reason == c &&
                             value(lits[0]) == Value::kTrue;
         if (i < target && !locked && clause_size(c) > 2) {
             detach_clause(c);
@@ -423,7 +431,7 @@ void Solver::reduce_db() {
 // ---- Search ----------------------------------------------------------------
 
 SolveResult Solver::search(std::int64_t conflict_budget) {
-    std::vector<Lit> learnt;
+    std::vector<Lit>& learnt = learnt_;
     std::int64_t restart_limit = luby(static_cast<std::int64_t>(stats_.restarts)) * kRestartUnit;
     std::int64_t conflicts_this_restart = 0;
 
@@ -493,7 +501,9 @@ SolveResult Solver::search(std::int64_t conflict_budget) {
             static_cast<std::size_t>(decision_level()) >= assumptions_.size()) {
             next = pick_branch_lit();
             if (next == kUndefLit) {
-                model_ = assign_;
+                for (std::size_t v = 0; v < model_.size(); ++v) {
+                    model_[v] = value(Lit::make(static_cast<Var>(v)));
+                }
                 return SolveResult::kSat;
             }
             ++stats_.decisions;

@@ -1,7 +1,7 @@
 #pragma once
-// Compact CDCL SAT solver: the exact-decision substrate behind the
-// combinational equivalence oracle (network/cec.hpp) and, next, SAT-based
-// exact synthesis of 5-6 variable cones (ROADMAP item 1).
+// Compact CDCL SAT solver: the exact-decision substrate shared by the
+// combinational equivalence oracle (network/cec.hpp) and SAT-based exact
+// synthesis of 5-6 variable cones (decomp/exact_sat.hpp).
 //
 // MiniSat-family architecture, trimmed to what the synthesis stack needs:
 //   * two-literal watching with blocker caching,
@@ -16,12 +16,28 @@
 //   * conflict budgets, so callers can bound speculative queries and fall
 //     back (the answer is kUnknown, never a wrong verdict).
 //
-// Clauses live in one flat arena (ClauseRef = offset); a clause header
-// carries size/learnt/dead flags and learned-clause activity. The solver
-// never frees arena space mid-run — per-query solvers are short-lived and
-// reduce_db() only detaches — so refs stay stable across learning.
+// Hot-path layout. Values are kept per literal (lit_val_[lit.x]), so a
+// literal's value is one byte load; the model and the saved phases are
+// derived from it and from the trail. Clauses live in one flat arena
+// (ClauseRef = offset) as [header][literals][activity, learnt only]: the
+// header carries size/learnt/dead flags, and the literals always start
+// one word after it. Propagation walks each watch list with raw pointers;
+// conflict analysis reads reason and level from one per-variable record.
+// add_clause sorts into a member buffer and allocates nothing once warm.
+// The solver never frees arena space mid-run — per-query solvers are
+// short-lived and reduce_db() only detaches — so refs stay stable.
+//
+// Trajectory contract. Exact synthesis results (and so netlists) and the
+// sign-off's work are pure functions of the search trajectory: which
+// watcher is visited when, which literal becomes the new watch, the order
+// analysis bumps variables in. A change that only makes the search cheaper
+// must keep every SolverStats counter identical on the pinned cases of
+// tests/sat/solver_trajectory_test.cpp; a change that alters the search
+// on purpose re-pins them deliberately (docs/performance.md, "SAT core").
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace bdsmaj::sat {
@@ -69,6 +85,19 @@ struct SolverStats {
     std::uint64_t learned_literals = 0;
     std::uint64_t minimized_literals = 0;  ///< removed by clause minimization
     std::uint64_t db_reductions = 0;
+
+    bool operator==(const SolverStats&) const = default;
+    SolverStats& operator+=(const SolverStats& o) {
+        conflicts += o.conflicts;
+        decisions += o.decisions;
+        propagations += o.propagations;
+        restarts += o.restarts;
+        learned_clauses += o.learned_clauses;
+        learned_literals += o.learned_literals;
+        minimized_literals += o.minimized_literals;
+        db_reductions += o.db_reductions;
+        return *this;
+    }
 };
 
 class Solver {
@@ -77,16 +106,24 @@ public:
 
     // ---- Problem construction ---------------------------------------------
     [[nodiscard]] Var new_var();
-    [[nodiscard]] int num_vars() const noexcept { return static_cast<int>(assign_.size()); }
+    [[nodiscard]] int num_vars() const noexcept { return static_cast<int>(vardata_.size()); }
 
     /// Add a clause (empty = immediate contradiction). Literals are
     /// deduplicated; tautologies are dropped; level-0 false literals are
     /// removed. Returns false when the formula became unsatisfiable at
     /// level 0 (the solver stays usable only for reporting kUnsat).
-    bool add_clause(std::vector<Lit> lits);
-    bool add_clause(Lit a) { return add_clause(std::vector<Lit>{a}); }
-    bool add_clause(Lit a, Lit b) { return add_clause(std::vector<Lit>{a, b}); }
-    bool add_clause(Lit a, Lit b, Lit c) { return add_clause(std::vector<Lit>{a, b, c}); }
+    /// Allocation-free once the solver is warm: the literals are sorted
+    /// into a member scratch buffer, never into a fresh vector.
+    bool add_clause(std::span<const Lit> lits);
+    bool add_clause(Lit a) { return add_clause(std::span<const Lit>(&a, 1)); }
+    bool add_clause(Lit a, Lit b) {
+        const std::array<Lit, 2> lits{a, b};
+        return add_clause(std::span<const Lit>(lits));
+    }
+    bool add_clause(Lit a, Lit b, Lit c) {
+        const std::array<Lit, 3> lits{a, b, c};
+        return add_clause(std::span<const Lit>(lits));
+    }
 
     // ---- Solving -----------------------------------------------------------
     /// Solve under `assumptions` (each forced true for this call only).
@@ -117,32 +154,42 @@ private:
     using ClauseRef = std::uint32_t;
     static constexpr ClauseRef kNoClause = ~ClauseRef{0};
 
-    // Arena clause layout: [header][activity (learnt only)][lits...].
-    // Header: size << 2 | learnt << 1 | dead.
+    // Arena clause layout: [header][lits...][activity (learnt only)].
+    // Header: size << 2 | learnt << 1 | dead. The literals start right
+    // after the header for every clause, so the propagation loop reaches
+    // them without testing the learnt bit.
     struct Watcher {
         ClauseRef cref = kNoClause;
         Lit blocker = kUndefLit;
+    };
+    /// What conflict analysis reads per variable, kept side by side.
+    struct VarData {
+        ClauseRef reason = kNoClause;
+        std::int32_t level = 0;
     };
 
     [[nodiscard]] std::uint32_t clause_size(ClauseRef c) const { return arena_[c] >> 2; }
     [[nodiscard]] bool clause_learnt(ClauseRef c) const { return (arena_[c] & 2) != 0; }
     [[nodiscard]] bool clause_dead(ClauseRef c) const { return (arena_[c] & 1) != 0; }
     [[nodiscard]] Lit* clause_lits(ClauseRef c) {
-        return reinterpret_cast<Lit*>(&arena_[c + 1 + ((arena_[c] & 2) ? 1 : 0)]);
+        return reinterpret_cast<Lit*>(arena_.data() + c + 1);
     }
     [[nodiscard]] float& clause_activity(ClauseRef c) {
-        return reinterpret_cast<float&>(arena_[c + 1]);
+        return reinterpret_cast<float&>(arena_[c + 1 + clause_size(c)]);
     }
 
-    [[nodiscard]] Value value(Lit p) const {
-        return assign_[static_cast<std::size_t>(p.var())] ^ p.negated();
-    }
+    [[nodiscard]] Value value(Lit p) const { return lit_val_[static_cast<std::size_t>(p.x)]; }
     [[nodiscard]] int decision_level() const noexcept { return static_cast<int>(trail_lim_.size()); }
 
-    ClauseRef alloc_clause(const std::vector<Lit>& lits, bool learnt);
+    ClauseRef alloc_clause(std::span<const Lit> lits, bool learnt);
     void attach_clause(ClauseRef c);
     void detach_clause(ClauseRef c);
-    void unchecked_enqueue(Lit p, ClauseRef reason);
+    void unchecked_enqueue(Lit p, ClauseRef reason) {
+        lit_val_[static_cast<std::size_t>(p.x)] = Value::kTrue;
+        lit_val_[static_cast<std::size_t>(p.x ^ 1)] = Value::kFalse;
+        vardata_[static_cast<std::size_t>(p.var())] = {reason, decision_level()};
+        trail_.push_back(p);
+    }
     ClauseRef propagate();
     void analyze(ClauseRef confl, std::vector<Lit>& out_learnt, int& out_btlevel);
     void analyze_final(Lit p);
@@ -170,10 +217,9 @@ private:
     std::vector<ClauseRef> learnts_;
     std::vector<std::vector<Watcher>> watches_;  ///< indexed by Lit.x
 
-    std::vector<Value> assign_;       ///< per var
-    std::vector<Value> model_;        ///< snapshot at kSat
-    std::vector<ClauseRef> reason_;   ///< per var
-    std::vector<std::int32_t> level_; ///< per var
+    std::vector<Value> lit_val_;      ///< per literal (Lit.x): value of the literal
+    std::vector<Value> model_;        ///< per var, snapshot at kSat
+    std::vector<VarData> vardata_;    ///< per var
     std::vector<Lit> trail_;
     std::vector<std::int32_t> trail_lim_;
     std::size_t qhead_ = 0;
@@ -191,6 +237,8 @@ private:
     std::vector<Lit> conflict_;
     std::vector<std::uint8_t> seen_;
     std::vector<Lit> analyze_clear_;  ///< pre-minimization learnt set
+    std::vector<Lit> add_tmp_;        ///< add_clause sort/dedup scratch
+    std::vector<Lit> learnt_;         ///< search() learnt-clause scratch
 
     SolverStats stats_;
 };

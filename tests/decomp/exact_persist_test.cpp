@@ -5,7 +5,8 @@
 // truncation) and — critically — re-validates every entry semantically,
 // so a corrupted file can never poison synthesis results. Covers both
 // the narrow (<= 4-var) section and the version-2 wide (5-6 input,
-// SAT-synthesized) section, plus version-1 compatibility.
+// SAT-synthesized) section, plus version-1 compatibility. Each test
+// clears the process-wide cache first: none depends on test order.
 
 #include <gtest/gtest.h>
 
@@ -153,7 +154,14 @@ std::string one_entry_file(std::uint16_t canonical, std::uint8_t out_index,
     return bytes;
 }
 
-TEST(ExactPersist, SaveIsDeterministicAndAtomic) {
+/// Every test starts from the cache state of a fresh process, so the
+/// suite passes the same in one process as one test per process.
+class ExactPersist : public ::testing::Test {
+protected:
+    void SetUp() override { ExactSynthesisCache::instance().clear(); }
+};
+
+TEST_F(ExactPersist, SaveIsDeterministicAndAtomic) {
     ExactSynthesisCache& cache = ExactSynthesisCache::instance();
     // Materialize a handful of classes in non-canonical discovery order.
     for (const std::uint16_t f : {0x6996, 0x8888, 0x1ee1, 0x0001, 0xcafe}) {
@@ -180,7 +188,7 @@ TEST(ExactPersist, SaveIsDeterministicAndAtomic) {
     std::remove(p2.c_str());
 }
 
-TEST(ExactPersist, LoadPrewarmsAndLookupReportsHit) {
+TEST_F(ExactPersist, LoadPrewarmsAndLookupReportsHit) {
     // Hand-craft a valid file for the literal class — this test must not
     // materialize it first, so the load really inserts. (ctest runs each
     // test in its own process, so the singleton starts cold here.)
@@ -206,7 +214,7 @@ TEST(ExactPersist, LoadPrewarmsAndLookupReportsHit) {
     std::remove(path.c_str());
 }
 
-TEST(ExactPersist, GarbageFilesLoadNothing) {
+TEST_F(ExactPersist, GarbageFilesLoadNothing) {
     ExactSynthesisCache& cache = ExactSynthesisCache::instance();
     const std::string path = testing::TempDir() + "exact_persist_garbage.bin";
 
@@ -239,7 +247,7 @@ TEST(ExactPersist, GarbageFilesLoadNothing) {
     std::remove(path.c_str());
 }
 
-TEST(ExactPersist, SemanticallyCorruptEntriesAreSkipped) {
+TEST_F(ExactPersist, SemanticallyCorruptEntriesAreSkipped) {
     // A well-framed entry whose program does NOT compute its claimed
     // class: claim the parity class but supply a bare literal. The
     // eval_tt() re-validation must reject it — and a later lookup must
@@ -267,7 +275,7 @@ TEST(ExactPersist, SemanticallyCorruptEntriesAreSkipped) {
     std::remove(path.c_str());
 }
 
-TEST(ExactPersist, WideEntriesRoundTripThroughDisk) {
+TEST_F(ExactPersist, WideEntriesRoundTripThroughDisk) {
     // Hand-craft a version-2 file with an empty narrow section and one
     // wide entry, load it cold, and prove lookup_wide serves it. Then
     // save: the writer must reproduce the crafted bytes exactly (the
@@ -305,7 +313,7 @@ TEST(ExactPersist, WideEntriesRoundTripThroughDisk) {
     std::remove(out.c_str());
 }
 
-TEST(ExactPersist, WideSaveIsSortedDeterministicAndSkipsFailures) {
+TEST_F(ExactPersist, WideSaveIsSortedDeterministicAndSkipsFailures) {
     // Insert in deliberately unsorted order (6-input first); the saver
     // must write (num_inputs, canonical)-sorted bytes. Negative entries
     // (failure records) are in-memory only and must leave no trace.
@@ -344,7 +352,7 @@ TEST(ExactPersist, WideSaveIsSortedDeterministicAndSkipsFailures) {
     std::remove(p2.c_str());
 }
 
-TEST(ExactPersist, CorruptWideEntriesAreSkippedNarrowStillLoads) {
+TEST_F(ExactPersist, CorruptWideEntriesAreSkippedNarrowStillLoads) {
     // A version-2 file whose narrow section is healthy but whose wide
     // section is a parade of well-framed lies. Every wide entry must be
     // rejected — semantically (claims a class its program does not
@@ -388,7 +396,7 @@ TEST(ExactPersist, CorruptWideEntriesAreSkippedNarrowStillLoads) {
     std::remove(path.c_str());
 }
 
-TEST(ExactPersist, TruncatedWideSectionKeepsNarrowEntries) {
+TEST_F(ExactPersist, TruncatedWideSectionKeepsNarrowEntries) {
     // Wide-section truncation is not contagious: the narrow entries that
     // parsed before the cut still load.
     ExactSynthesisCache& cache = ExactSynthesisCache::instance();
@@ -413,7 +421,7 @@ TEST(ExactPersist, TruncatedWideSectionKeepsNarrowEntries) {
     std::remove(path.c_str());
 }
 
-TEST(ExactPersist, TruncationSweepNeverCrashesOrLies) {
+TEST_F(ExactPersist, TruncationSweepNeverCrashesOrLies) {
     // Torn-file drill: every prefix of a valid version-2 file must load
     // without crashing, and anything it does accept must be semantically
     // valid (the zero-trust re-validation). ctest runs this test in its
@@ -449,7 +457,7 @@ TEST(ExactPersist, TruncationSweepNeverCrashesOrLies) {
     std::remove(path.c_str());
 }
 
-TEST(ExactPersist, BitFlipSweepNeverServesWrongProgram) {
+TEST_F(ExactPersist, BitFlipSweepNeverServesWrongProgram) {
     // Corruption drill: flip every bit of a valid version-2 file, one at a
     // time, and load each mutant. No mutant may crash the loader, and no
     // mutant may plant a program that does not compute the class it is
@@ -492,7 +500,7 @@ TEST(ExactPersist, BitFlipSweepNeverServesWrongProgram) {
     std::remove(path.c_str());
 }
 
-TEST(ExactPersist, VersionOneFilesLoadNarrowOnly) {
+TEST_F(ExactPersist, VersionOneFilesLoadNarrowOnly) {
     // Legacy narrow-only files keep loading, and nothing after the
     // narrow section is ever interpreted as wide data under version 1.
     ExactSynthesisCache& cache = ExactSynthesisCache::instance();

@@ -424,5 +424,37 @@ TEST(ExactSat, CappingAtTheMinimumChainLengthChangesNothing) {
     }
 }
 
+TEST(ExactSat, CachedChainIsReproducedOnlyAboveItsConflicts) {
+    // A search stops on the conflict that uses up its budget, before the
+    // model is complete: a chain that took C conflicts is found again at
+    // budget C + 1 (same program, same conflicts) but not at budget C, and
+    // not under a cap below its length. WideSynthesisCost encodes exactly
+    // that boundary for the wide cache.
+    for (const MinChain& c : min_chain_classes()) {
+        SCOPED_TRACE(c.name);
+        ExactSatParams params;
+        params.fence_min_steps = c.fence_min_steps;
+        const ExactSatResult full = exact_sat_synthesize(c.tt, c.inputs, params);
+        ASSERT_EQ(full.status, ExactSatStatus::kFound);
+        ASSERT_GT(full.conflicts, 0);
+        const WideSynthesisCost cost{full.conflicts, full.steps_tried};
+
+        params.conflict_budget = full.conflicts;
+        EXPECT_EQ(exact_sat_synthesize(c.tt, c.inputs, params).status,
+                  ExactSatStatus::kUnknown);
+        EXPECT_FALSE(cost.reproduced_by(params.conflict_budget, params.max_steps));
+
+        params.conflict_budget = full.conflicts + 1;
+        const ExactSatResult again = exact_sat_synthesize(c.tt, c.inputs, params);
+        ASSERT_EQ(again.status, ExactSatStatus::kFound);
+        EXPECT_TRUE(same_program(*again.structure, *full.structure));
+        EXPECT_EQ(again.conflicts, full.conflicts);
+        EXPECT_TRUE(cost.reproduced_by(params.conflict_budget, params.max_steps));
+        EXPECT_TRUE(cost.reproduced_by(params.conflict_budget, full.steps_tried));
+        EXPECT_FALSE(cost.reproduced_by(params.conflict_budget, full.steps_tried - 1));
+    }
+    EXPECT_TRUE(WideSynthesisCost{}.reproduced_by(1, 1)) << "prewarmed entries are always served";
+}
+
 }  // namespace
 }  // namespace bdsmaj::decomp

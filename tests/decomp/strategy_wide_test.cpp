@@ -8,6 +8,7 @@
 #include <string>
 
 #include "benchgen/suite.hpp"
+#include "decomp/exact.hpp"
 #include "decomp/flow.hpp"
 #include "decomp/strategy.hpp"
 #include "network/blif.hpp"
@@ -78,8 +79,9 @@ TEST(StrategyWide, WideConesFireAndStayEquivalent) {
 }
 
 /// Cones for the starvation test, in NPN classes the other tests never
-/// synthesize: the wide class cache is process-global, and a warm entry
-/// would (by design) serve a program straight past the starved budget.
+/// synthesize. The wide class cache is process-global; it serves a warm
+/// entry only to budgets that would have found it cold, so classes found
+/// in zero conflicts elsewhere would pass the starved budget legitimately.
 Network starvation_network() {
     Network network;
     net::HashedNetworkBuilder b(network);
@@ -143,6 +145,28 @@ TEST(StrategyWide, WideStepsCountedInStrategyTotals) {
         sum += s.steps_for(kind);
     }
     EXPECT_EQ(sum, s.total_steps());
+}
+
+TEST(StrategyWide, WarmChainsFoundWithMoreBudgetAreNotServed) {
+    // A chain synthesized under a large budget earlier in the process must
+    // not reach a later small-budget job: its output has to equal the
+    // small budget's cold run, whatever ran before it.
+    const auto run_preset = [](const Network& input, long long budget) {
+        DecompFlowParams params;
+        params.engine.preset = "exact-aggressive";
+        params.engine.exact_sat_budget = budget;
+        params.cone_cache = false;
+        return net::write_blif(decompose_network(input, params).network);
+    };
+    for (const char* name : {"misex3", "f51m"}) {
+        SCOPED_TRACE(name);
+        const Network input = bsm::benchgen::benchmark_by_name(name, /*quick=*/true);
+        ExactSynthesisCache::instance().clear();
+        const std::string cold = run_preset(input, 500);
+        ExactSynthesisCache::instance().clear();
+        (void)run_preset(input, 10000);
+        EXPECT_EQ(run_preset(input, 500), cold);
+    }
 }
 
 }  // namespace

@@ -19,6 +19,11 @@
 # must byte-match what tools/gen_cli_docs.sh regenerates from the fresh
 # binary, and every advertised preset must appear in README.md.
 #
+# The suites that share process-wide state (exact-synthesis cache
+# persistence, exact SAT synthesis, the SAT solver and its pinned
+# trajectories) also run in one gtest process after ctest, so a test that
+# only passes in a fresh process fails here.
+#
 # The chaos stage rebuilds the core with the deterministic fault-injection
 # hooks compiled in (-DBDSMAJ_FAULT_INJECT=ON) under AddressSanitizer and
 # runs the `chaos` ctest label: injected faults at the worker/cache/SAT/
@@ -61,6 +66,13 @@ cmake --build build -j"$JOBS"
 
 echo "==> tier-1: ctest"
 (cd build && ctest --output-on-failure -j"$JOBS")
+
+echo "==> tier-1: shared-state suites in one process"
+# ctest runs every test in a fresh process, which hides tests that lean
+# on process-wide state (the exact-synthesis class cache, the solver's
+# pinned trajectories) left behind by an earlier test. Run those suites
+# back to back in a single process as well.
+./build/bdsmaj_tests --gtest_filter='ExactPersist*:ExactSat*:Solver*:SolverTrajectory*'
 
 echo "==> docs: CLI reference drift check"
 # docs/cli.md is generated from the binary's own --help/--list-presets
