@@ -121,8 +121,8 @@ struct EngineStats {
     // served PROGRAMS are deterministic: a hit returns byte-for-byte what
     // a cold synthesis at equal-or-lower effort would have produced.
     long long exact_sat_synthesized = 0;  ///< solver calls actually made
-    long long exact_sat_cache_hits = 0;   ///< wide classes served from cache
-    long long exact_sat_fallbacks = 0;    ///< budget/steps exhausted -> ladder
+    long long exact_sat_cache_hits = 0;   ///< cache hits served (refused ones are fallbacks)
+    long long exact_sat_fallbacks = 0;    ///< failed, covered or refused -> ladder
     long long exact_sat_conflicts = 0;    ///< total solver conflicts spent
     // Cone-memoization telemetry (decomp/cone_cache.hpp; filled by the
     // flow layer). Like npn_cache_*, hit/miss/eviction counts depend on

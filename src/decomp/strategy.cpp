@@ -335,12 +335,13 @@ private:
         WideSynthesisCost cost;
         std::shared_ptr<const WideStructure> structure =
             cache.lookup_wide(match->support_size, match->canonical, &cost);
-        if (structure != nullptr) {
-            ++ctx.stats.exact_sat_cache_hits;
+        const bool cache_hit = structure != nullptr;
+        if (cache_hit) {
             // Serve only what this job's own cold synthesis would find: a
             // chain found with more budget (or a longer cap) by an earlier
-            // job must not leak into this one.
+            // job must not leak into this one. A refused hit is a fallback.
             if (!cost.reproduced_by(sat_params.conflict_budget, sat_params.max_steps)) {
+                ++ctx.stats.exact_sat_fallbacks;
                 return std::nullopt;
             }
         } else if (cache.wide_failure_covers(match->support_size, match->canonical,
@@ -363,7 +364,13 @@ private:
             structure = cache.insert_wide(
                 res.structure, WideSynthesisCost{res.conflicts, res.steps_tried});
         }
-        if (structure->gate_count() >= gate_limit) return std::nullopt;
+        // Only a disk-prewarmed chain (no recorded cost) can reach the
+        // gate limit: a synthesized one is capped below it.
+        if (structure->gate_count() >= gate_limit) {
+            ++ctx.stats.exact_sat_fallbacks;
+            return std::nullopt;
+        }
+        if (cache_hit) ++ctx.stats.exact_sat_cache_hits;
         Candidate cand;
         cand.source = StrategyKind::kExactSmallCone;
         cand.op = Candidate::Op::kExactWide;

@@ -20,21 +20,37 @@ double seconds_since(Clock::time_point start) {
 
 }  // namespace
 
+void checkpoint(const FlowOptions& options) {
+    if (options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed)) {
+        throw decomp::FlowCancelled();
+    }
+    if (options.deadline && Clock::now() >= *options.deadline) {
+        throw decomp::DeadlineExceeded();
+    }
+}
+
 void verify_synthesis_result(const net::Network& input, SynthesisResult& result,
-                             net::EquivEngine oracle) {
+                             const FlowOptions& options) {
     const auto start = Clock::now();
     net::CecParams cec;
-    cec.engine = oracle;
-    for (const net::Network* stage :
-         {&result.optimized, &result.mapped.netlist}) {
-        net::EquivalenceResult eq = net::check_equivalent(input, *stage, cec);
-        if (!eq.equivalent) {
+    cec.engine = options.oracle;
+    // The chain: input == optimized, then optimized == mapped. The mapped
+    // netlist is a cell cover of the optimized network, so the second link
+    // is almost all structural merges.
+    const auto link = [&](const net::Network& reference, const net::Network& stage) {
+        result.equivalence = net::check_equivalent(reference, stage, cec);
+        if (!result.equivalence->equivalent) {
             throw std::runtime_error(
                 result.flow_name + ": verification failed (engine " +
-                net::equiv_engine_name(eq.engine) + "): " + eq.reason);
+                net::equiv_engine_name(result.equivalence->engine) +
+                "): " + result.equivalence->reason);
         }
-        result.equivalence = std::move(eq);
-    }
+        return result.equivalence->exact;
+    };
+    const bool first_exact = link(input, result.optimized);
+    checkpoint(options);
+    const bool second_exact = link(result.optimized, result.mapped.netlist);
+    result.equivalence->exact = first_exact && second_exact;
     result.verify_seconds = seconds_since(start);
 }
 
@@ -73,7 +89,7 @@ SynthesisResult from_decomposition(std::string name, const net::Network& input,
     result.optimized_stats = result.optimized.stats();
     result.optimize_seconds = seconds_since(start);
     result.mapped = mapping::map_network(result.optimized, default_library());
-    if (options.verify) verify_synthesis_result(input, result, options.oracle);
+    if (options.verify) verify_synthesis_result(input, result, options);
     return result;
 }
 
@@ -134,30 +150,21 @@ std::vector<SynthesisResult> run_all_flows(const net::Network& input,
     // and DC passes are not interruptible, so check the token — and the
     // hard deadline — at every flow boundary, the last one included: a job
     // that overran inside DC (or its sign-off) must not report completion.
-    const auto checkpoint = [&options] {
-        if (options.cancel != nullptr &&
-            options.cancel->load(std::memory_order_relaxed)) {
-            throw decomp::FlowCancelled();
-        }
-        if (options.deadline && Clock::now() >= *options.deadline) {
-            throw decomp::DeadlineExceeded();
-        }
-    };
     std::vector<SynthesisResult> out;
     out.push_back(flow_bdsmaj(input, options));
     out.push_back(flow_bdspga(input, options));
-    checkpoint();
+    checkpoint(options);
     out.push_back(flow_abc(input));
-    checkpoint();
+    checkpoint(options);
     out.push_back(flow_dc(input));
-    checkpoint();
+    checkpoint(options);
     if (options.verify) {
         // The BDS flows signed off inside from_decomposition; ABC and DC
         // take no options, so their sign-off happens here.
-        verify_synthesis_result(input, out[2], options.oracle);
-        checkpoint();
-        verify_synthesis_result(input, out[3], options.oracle);
-        checkpoint();
+        verify_synthesis_result(input, out[2], options);
+        checkpoint(options);
+        verify_synthesis_result(input, out[3], options);
+        checkpoint(options);
     }
     return out;
 }

@@ -62,11 +62,13 @@ struct FlowOptions {
     /// between circuits in run_suite. Null = not cancellable.
     const std::atomic<bool>* cancel = nullptr;
     /// Absolute hard deadline (DecompFlowParams::deadline semantics):
-    /// checked at the per-supernode checkpoints of the BDS flows and at
-    /// every flow boundary in run_all_flows, after the last flow too (a
-    /// job that overran inside DC never returns normally); once passed,
-    /// decomp::DeadlineExceeded propagates out. The ABC/DC passes
-    /// themselves are not interruptible. Unset = no deadline.
+    /// checked at the per-supernode checkpoints of the BDS flows, between
+    /// the two links of the sign-off, and at every flow boundary in
+    /// run_all_flows and the service's single-flow jobs, after the last
+    /// flow too (a job that overran inside DC or its sign-off never
+    /// returns normally); once passed, decomp::DeadlineExceeded propagates
+    /// out. The ABC/DC passes and each equivalence check themselves are
+    /// not interruptible. Unset = no deadline.
     std::optional<std::chrono::steady_clock::time_point> deadline;
     /// Absolute soft budget (DecompFlowParams::soft_budget): once passed,
     /// the BDS flows degrade remaining supernodes down `degrade_ladder`
@@ -77,11 +79,10 @@ struct FlowOptions {
     std::vector<std::string> degrade_ladder;
     /// Equivalence engine for the sign-off below.
     net::EquivEngine oracle = net::EquivEngine::kAuto;
-    /// Verify each flow's optimized network AND mapped netlist against the
-    /// input before returning (all four flows, not just BDS). The mapped
-    /// verdict lands in SynthesisResult::equivalence; an inequivalent
-    /// result throws std::runtime_error with the counterexample. Exact at
-    /// any input width for every engine but kSim.
+    /// Sign off each flow before returning (all four flows, not just BDS):
+    /// verify_synthesis_result proves input == optimized, then optimized
+    /// == mapped netlist. Exact at any input width for every engine but
+    /// kSim.
     bool verify = false;
 };
 
@@ -92,9 +93,11 @@ struct SynthesisResult {
     mapping::MappedResult mapped;
     double optimize_seconds = 0.0;
     decomp::EngineStats engine_stats;  ///< BDS flows only
-    /// Oracle verdict for input vs mapped netlist when FlowOptions::verify
-    /// was set (always `equivalent`, or the flow would have thrown);
-    /// `verify_seconds` is the total sign-off time (both checks).
+    /// Sign-off verdict when FlowOptions::verify was set: the verdict of
+    /// the chain's last link (optimized vs mapped netlist), with `exact`
+    /// true only if both links were exact. Always `equivalent`, or the
+    /// flow would have thrown; `verify_seconds` is the total sign-off time
+    /// (both links).
     std::optional<net::EquivalenceResult> equivalence;
     double verify_seconds = 0.0;
 };
@@ -102,14 +105,23 @@ struct SynthesisResult {
 /// The library shared by all flows (paper SV-B1).
 [[nodiscard]] const mapping::CellLibrary& default_library();
 
-/// The sign-off behind FlowOptions::verify, exposed for callers that run
-/// flows without options (the service's single-flow ABC/DC jobs, the
-/// CLI): verifies `result.optimized` and `result.mapped.netlist` against
-/// `input` with the chosen oracle, throws std::runtime_error carrying the
-/// counterexample on mismatch, and records the mapped verdict (plus the
-/// sign-off wall time) in the result.
+/// The cancellation and deadline checkpoint of FlowOptions: throws
+/// decomp::FlowCancelled once `options.cancel` is set, then
+/// decomp::DeadlineExceeded once `options.deadline` has passed.
+void checkpoint(const FlowOptions& options);
+
+/// The one sign-off of every flow (FlowOptions::verify, the service, the
+/// CLI), a chain of two exact checks with `options.oracle`: `input` ==
+/// `result.optimized`, then `result.optimized` == `result.mapped.netlist`.
+/// Transitivity gives input == mapped with the same guarantee. Runs
+/// checkpoint(options) between the links. On a mismatch it records the
+/// failing link's verdict in `result.equivalence` and throws
+/// std::runtime_error; the counterexample then distinguishes the input
+/// from that stage too, since every earlier link was proven (under kSim,
+/// only sampled). On success it records the verdict and the sign-off wall
+/// time.
 void verify_synthesis_result(const net::Network& input, SynthesisResult& result,
-                             net::EquivEngine oracle = net::EquivEngine::kAuto);
+                             const FlowOptions& options = {});
 
 /// Flow-name decoration for non-default presets ("BDS-MAJ" ->
 /// "BDS-MAJ(exact-aggressive)"); shared by the flows and the CLI so the

@@ -29,20 +29,20 @@ FlowSel parse_flow(const std::string& name) {
 
 std::vector<SynthesisResult> run_flows_one(const net::Network& input, FlowSel sel,
                                            const FlowOptions& options) {
+    if (sel == FlowSel::kAll) return run_all_flows(input, options);
+    SynthesisResult r = sel == FlowSel::kBdsMaj   ? flow_bdsmaj(input, options)
+                        : sel == FlowSel::kBdsPga ? flow_bdspga(input, options)
+                        : sel == FlowSel::kAbc    ? flow_abc(input)
+                                                  : flow_dc(input);
     // ABC/DC take no options; their sign-off (run_all_flows does it for
     // the "all" case, from_decomposition for the BDS flows) happens here.
-    const auto signed_off = [&](SynthesisResult r) {
-        if (options.verify) verify_synthesis_result(input, r, options.oracle);
-        return std::vector<SynthesisResult>{std::move(r)};
-    };
-    switch (sel) {
-        case FlowSel::kAll: return run_all_flows(input, options);
-        case FlowSel::kBdsMaj: return {flow_bdsmaj(input, options)};
-        case FlowSel::kBdsPga: return {flow_bdspga(input, options)};
-        case FlowSel::kAbc: return signed_off(flow_abc(input));
-        case FlowSel::kDc: return signed_off(flow_dc(input));
+    if (options.verify && (sel == FlowSel::kAbc || sel == FlowSel::kDc)) {
+        verify_synthesis_result(input, r, options);
     }
-    return {};
+    // As in run_all_flows: a job that overran inside its flow, its mapping
+    // or its sign-off must not report completion.
+    checkpoint(options);
+    return {std::move(r)};
 }
 
 }  // namespace

@@ -51,7 +51,8 @@ std::uint64_t hash_words(const std::uint64_t* words, std::size_t count) {
 /// the two sides of a miter — yields one literal. Proven equalities are
 /// recorded as literal substitutions that resolve() follows; keys are
 /// built from resolved fanins, so logic over a substituted node hashes
-/// onto logic over its representative.
+/// onto logic over its representative. Each gate variable's fanin
+/// variables are recorded, so a query can be scoped to its cone.
 class StrashEncoder {
 public:
     StrashEncoder(sat::Solver& solver, std::uint64_t& hits)
@@ -66,6 +67,14 @@ public:
             lit = subst_[static_cast<std::size_t>(lit.var())] ^ lit.negated();
         }
         return lit;
+    }
+
+    /// Fanin variables of a gate variable (-1 padded); all -1 for inputs
+    /// and the constant.
+    [[nodiscard]] const std::array<sat::Var, 3>& fanins(sat::Var v) const {
+        static constexpr std::array<sat::Var, 3> kNone{-1, -1, -1};
+        const auto i = static_cast<std::size_t>(v);
+        return i < fanins_.size() ? fanins_[i] : kNone;
     }
 
     /// Record `from == to` for two resolved literals of distinct variables;
@@ -135,6 +144,10 @@ private:
             return resolve(it->second);
         }
         it->second = make();
+        const auto v = static_cast<std::size_t>(it->second.var());
+        if (fanins_.size() <= v) fanins_.resize(v + 1, {-1, -1, -1});
+        const bool binary = key.tag == kAndTag || key.tag == kXorTag;
+        fanins_[v] = {key.x >> 1, key.y >> 1, binary ? -1 : key.z >> 1};
         return it->second;
     }
 
@@ -209,6 +222,7 @@ private:
     std::uint64_t& hits_;
     std::unordered_map<Key, sat::Lit, KeyHash> table_;
     std::vector<sat::Lit> subst_;  ///< per variable; kUndefLit = not substituted
+    std::vector<std::array<sat::Var, 3>> fanins_;  ///< per gate variable
 };
 
 /// The sweeping state for one sat_equivalent() call. Side 0 is network
@@ -226,6 +240,11 @@ struct Fraig {
     /// schedule reaches it); read through enc.resolve().
     std::array<std::vector<sat::Lit>, 2> lits;
     std::vector<sat::Lit> fanin_lits;  ///< encode() scratch
+    /// prove_equal() scratch: the queried cone, and per-variable marks
+    /// (cone_mark[v] == cone_stamp means v is in the current cone).
+    std::vector<sat::Var> cone;
+    std::vector<std::uint32_t> cone_mark;
+    std::uint32_t cone_stamp = 0;
 
     /// Merged candidate schedule: (level, side, node id).
     struct Slot {
@@ -305,13 +324,46 @@ struct Fraig {
         return pattern;
     }
 
+    /// The definition closure of x and y: both variables and, transitively,
+    /// the fanin variables of every gate among them.
+    void collect_cone(sat::Lit x, sat::Lit y) {
+        cone_mark.resize(static_cast<std::size_t>(solver.num_vars()), 0);
+        ++cone_stamp;
+        cone.clear();
+        const auto visit = [this](sat::Var v) {
+            std::uint32_t& mark = cone_mark[static_cast<std::size_t>(v)];
+            if (mark == cone_stamp) return;
+            mark = cone_stamp;
+            cone.push_back(v);
+        };
+        visit(x.var());
+        visit(y.var());
+        for (std::size_t i = 0; i < cone.size(); ++i) {
+            for (const sat::Var f : enc.fanins(cone[i])) {
+                if (f >= 0) visit(f);
+            }
+        }
+    }
+
     /// Prove x == y with two assumption queries (x & !y, then !x & y);
     /// on success tie the two literals with binary clauses.
+    ///
+    /// Over the strashed encoding each query branches only on the cone of
+    /// x and y. That is exact: every clause is a gate definition, a tie
+    /// between proven-equal literals or a clause learnt from those, so
+    /// the cone's definitions fix its gates as functions of its inputs,
+    /// and a conflict-free assignment of the cone extends to a full model
+    /// (choose the other inputs freely, then every other gate by its
+    /// definition; ties and learnt clauses are implied). The plain
+    /// Tseitin reference mode records no fanins and searches everything.
     sat::SolveResult prove_equal(sat::Lit x, sat::Lit y, std::int64_t conflict_limit) {
+        if (params.fraig) collect_cone(x, y);
         for (const std::vector<sat::Lit>& query : {std::vector<sat::Lit>{x, ~y},
                                                    std::vector<sat::Lit>{~x, y}}) {
             ++stats.sat_calls;
-            const sat::SolveResult res = solver.solve(query, conflict_limit);
+            const sat::SolveResult res =
+                params.fraig ? solver.solve_within(query, cone, conflict_limit)
+                             : solver.solve(query, conflict_limit);
             if (res != sat::SolveResult::kUnsat) return res;
         }
         (void)solver.add_clause(~x, y);

@@ -17,7 +17,8 @@
 //     literal. Internal nodes are grouped into candidate-equivalence
 //     classes by simulation signatures; each candidate is proven against
 //     its class representative with two bounded assumption queries
-//     (x & !y, !x & y). A proven node becomes a cut-point: fanouts not yet
+//     (x & !y, !x & y) that branch only on the two nodes' fanin cone
+//     (sat::Solver::solve_within). A proven node becomes a cut-point: fanouts not yet
 //     encoded are built over the representative's literal (and may then
 //     hash onto the other network's logic), and two binary clauses tie
 //     the old variable to it. Decomposition preserves supernode boundary

@@ -38,12 +38,13 @@ Var Solver::new_var() {
     model_.push_back(Value::kUndef);
     vardata_.push_back({});
     activity_.push_back(0.0);
-    heap_pos_.push_back(-1);
+    order_.pos.push_back(-1);
+    scope_order_.pos.push_back(-2);
     polarity_.push_back(0);
     seen_.push_back(0);
     watches_.emplace_back();
     watches_.emplace_back();
-    heap_insert(v);
+    heap_insert(order_, v);
     return v;
 }
 
@@ -189,8 +190,12 @@ void Solver::var_bump(Var v) {
         for (double& x : activity_) x *= 1e-100;
         var_inc_ *= 1e-100;
     }
-    const int pos = heap_pos_[static_cast<std::size_t>(v)];
-    if (pos >= 0) heap_sift_up(pos);
+    const int pos = order_.pos[static_cast<std::size_t>(v)];
+    if (pos >= 0) heap_sift_up(order_, pos);
+    if (scoped_) {
+        const int scope_pos = scope_order_.pos[static_cast<std::size_t>(v)];
+        if (scope_pos >= 0) heap_sift_up(scope_order_, scope_pos);
+    }
 }
 
 void Solver::clause_bump(ClauseRef c) {
@@ -328,7 +333,8 @@ void Solver::cancel_until(int target) {
         lit_val_[static_cast<std::size_t>(p.x)] = Value::kUndef;
         lit_val_[static_cast<std::size_t>(p.x ^ 1)] = Value::kUndef;
         vardata_[vi].reason = kNoClause;
-        if (heap_pos_[vi] < 0) heap_insert(v);
+        if (order_.pos[vi] < 0) heap_insert(order_, v);
+        if (scoped_ && scope_order_.pos[vi] == -1) heap_insert(scope_order_, v);
     }
     trail_.resize(static_cast<std::size_t>(limit));
     trail_lim_.resize(static_cast<std::size_t>(target));
@@ -337,60 +343,61 @@ void Solver::cancel_until(int target) {
 
 // ---- VSIDS order heap ------------------------------------------------------
 
-void Solver::heap_insert(Var v) {
-    heap_pos_[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(heap_.size());
-    heap_.push_back(v);
-    heap_sift_up(static_cast<int>(heap_.size()) - 1);
+void Solver::heap_insert(VarHeap& h, Var v) {
+    h.pos[static_cast<std::size_t>(v)] = static_cast<std::int32_t>(h.heap.size());
+    h.heap.push_back(v);
+    heap_sift_up(h, static_cast<int>(h.heap.size()) - 1);
 }
 
-Var Solver::heap_pop() {
-    const Var top = heap_[0];
-    heap_pos_[static_cast<std::size_t>(top)] = -1;
-    heap_[0] = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) {
-        heap_pos_[static_cast<std::size_t>(heap_[0])] = 0;
-        heap_sift_down(0);
+Var Solver::heap_pop(VarHeap& h) {
+    const Var top = h.heap[0];
+    h.pos[static_cast<std::size_t>(top)] = -1;
+    h.heap[0] = h.heap.back();
+    h.heap.pop_back();
+    if (!h.heap.empty()) {
+        h.pos[static_cast<std::size_t>(h.heap[0])] = 0;
+        heap_sift_down(h, 0);
     }
     return top;
 }
 
-void Solver::heap_sift_up(int i) {
-    const Var v = heap_[static_cast<std::size_t>(i)];
+void Solver::heap_sift_up(VarHeap& h, int i) {
+    const Var v = h.heap[static_cast<std::size_t>(i)];
     while (i > 0) {
         const int parent = (i - 1) >> 1;
-        if (!heap_less(v, heap_[static_cast<std::size_t>(parent)])) break;
-        heap_[static_cast<std::size_t>(i)] = heap_[static_cast<std::size_t>(parent)];
-        heap_pos_[static_cast<std::size_t>(heap_[static_cast<std::size_t>(i)])] = i;
+        if (!heap_less(v, h.heap[static_cast<std::size_t>(parent)])) break;
+        h.heap[static_cast<std::size_t>(i)] = h.heap[static_cast<std::size_t>(parent)];
+        h.pos[static_cast<std::size_t>(h.heap[static_cast<std::size_t>(i)])] = i;
         i = parent;
     }
-    heap_[static_cast<std::size_t>(i)] = v;
-    heap_pos_[static_cast<std::size_t>(v)] = i;
+    h.heap[static_cast<std::size_t>(i)] = v;
+    h.pos[static_cast<std::size_t>(v)] = i;
 }
 
-void Solver::heap_sift_down(int i) {
-    const Var v = heap_[static_cast<std::size_t>(i)];
-    const int n = static_cast<int>(heap_.size());
+void Solver::heap_sift_down(VarHeap& h, int i) {
+    const Var v = h.heap[static_cast<std::size_t>(i)];
+    const int n = static_cast<int>(h.heap.size());
     while (true) {
         int child = 2 * i + 1;
         if (child >= n) break;
         if (child + 1 < n &&
-            heap_less(heap_[static_cast<std::size_t>(child + 1)],
-                      heap_[static_cast<std::size_t>(child)])) {
+            heap_less(h.heap[static_cast<std::size_t>(child + 1)],
+                      h.heap[static_cast<std::size_t>(child)])) {
             ++child;
         }
-        if (!heap_less(heap_[static_cast<std::size_t>(child)], v)) break;
-        heap_[static_cast<std::size_t>(i)] = heap_[static_cast<std::size_t>(child)];
-        heap_pos_[static_cast<std::size_t>(heap_[static_cast<std::size_t>(i)])] = i;
+        if (!heap_less(h.heap[static_cast<std::size_t>(child)], v)) break;
+        h.heap[static_cast<std::size_t>(i)] = h.heap[static_cast<std::size_t>(child)];
+        h.pos[static_cast<std::size_t>(h.heap[static_cast<std::size_t>(i)])] = i;
         i = child;
     }
-    heap_[static_cast<std::size_t>(i)] = v;
-    heap_pos_[static_cast<std::size_t>(v)] = i;
+    h.heap[static_cast<std::size_t>(i)] = v;
+    h.pos[static_cast<std::size_t>(v)] = i;
 }
 
 Lit Solver::pick_branch_lit() {
-    while (!heap_.empty()) {
-        const Var v = heap_pop();
+    VarHeap& h = scoped_ ? scope_order_ : order_;
+    while (!h.heap.empty()) {
+        const Var v = heap_pop(h);
         if (value(Lit::make(v)) == Value::kUndef) {
             return Lit::make(v, polarity_[static_cast<std::size_t>(v)] == 0);
         }
@@ -530,6 +537,36 @@ SolveResult Solver::solve(const std::vector<Lit>& assumptions,
     const SolveResult r = search(budget);
     cancel_until(0);
     assumptions_.clear();
+    return r;
+}
+
+SolveResult Solver::solve_within(const std::vector<Lit>& assumptions,
+                                 std::span<const Var> scope,
+                                 std::int64_t conflict_limit) {
+    // Only the scope is queued for decisions, so the search ends (kSat)
+    // once the scope is assigned. The solver's own queue order_ is left
+    // as it was, apart from the activity bumps every solve applies.
+    for (const Var v : scope) scope_order_.pos[static_cast<std::size_t>(v)] = -1;
+    for (const Var v : scope) {
+        if (scope_order_.pos[static_cast<std::size_t>(v)] == -1 &&
+            value(Lit::make(v)) == Value::kUndef) {
+            heap_insert(scope_order_, v);
+        }
+    }
+    scoped_ = true;
+    const auto unscope = [&] {
+        scoped_ = false;
+        for (const Var v : scope) scope_order_.pos[static_cast<std::size_t>(v)] = -2;
+        scope_order_.heap.clear();
+    };
+    SolveResult r = SolveResult::kUnknown;
+    try {
+        r = solve(assumptions, conflict_limit);
+    } catch (...) {
+        unscope();  // an injected fault must not leave the solver scoped
+        throw;
+    }
+    unscope();
     return r;
 }
 

@@ -14,7 +14,11 @@
 //     equivalence checker discharge hundreds of candidate-node miters
 //     against one shared CNF,
 //   * conflict budgets, so callers can bound speculative queries and fall
-//     back (the answer is kUnknown, never a wrong verdict).
+//     back (the answer is kUnknown, never a wrong verdict),
+//   * scoped queries (solve_within): branching restricted to a caller-
+//     given variable set, for formulas where any conflict-free assignment
+//     of that set extends to a full model — the equivalence checker's
+//     fanin cones.
 //
 // Hot-path layout. Values are kept per literal (lit_val_[lit.x]), so a
 // literal's value is one byte load; the model and the saved phases are
@@ -132,6 +136,20 @@ public:
     [[nodiscard]] SolveResult solve(const std::vector<Lit>& assumptions = {},
                                     std::int64_t conflict_limit = 0);
 
+    /// solve() that branches only on `scope` and answers kSat as soon as
+    /// every scope variable is assigned without conflict; variables
+    /// outside the scope are left to propagation, and their model values
+    /// may be kUndef. The scope must hold every assumption's variable.
+    /// A kSat answer is sound only when the caller guarantees that every
+    /// conflict-free assignment of the scope extends to a full model (as
+    /// for a set closed under Tseitin gate definitions, when every other
+    /// clause is implied by those definitions); kUnsat is always sound.
+    /// Plain solve() calls keep their search path: the scoped queue is
+    /// separate from the solver's own decision order.
+    [[nodiscard]] SolveResult solve_within(const std::vector<Lit>& assumptions,
+                                           std::span<const Var> scope,
+                                           std::int64_t conflict_limit = 0);
+
     /// Model access after kSat: the value a variable/literal took.
     [[nodiscard]] Value model_value(Var v) const { return model_[static_cast<std::size_t>(v)]; }
     [[nodiscard]] bool model_true(Lit p) const {
@@ -167,6 +185,11 @@ private:
         ClauseRef reason = kNoClause;
         std::int32_t level = 0;
     };
+    /// VSIDS decision queue: a binary max-heap on activity.
+    struct VarHeap {
+        std::vector<Var> heap;
+        std::vector<std::int32_t> pos;  ///< per var; -1 = not queued
+    };
 
     [[nodiscard]] std::uint32_t clause_size(ClauseRef c) const { return arena_[c] >> 2; }
     [[nodiscard]] bool clause_learnt(ClauseRef c) const { return (arena_[c] & 2) != 0; }
@@ -201,10 +224,10 @@ private:
     // VSIDS heap.
     void var_bump(Var v);
     void var_decay() { var_inc_ *= (1.0 / 0.95); }
-    void heap_insert(Var v);
-    [[nodiscard]] Var heap_pop();
-    void heap_sift_up(int i);
-    void heap_sift_down(int i);
+    void heap_insert(VarHeap& h, Var v);
+    [[nodiscard]] Var heap_pop(VarHeap& h);
+    void heap_sift_up(VarHeap& h, int i);
+    void heap_sift_down(VarHeap& h, int i);
     [[nodiscard]] bool heap_less(Var a, Var b) const {
         return activity_[static_cast<std::size_t>(a)] > activity_[static_cast<std::size_t>(b)];
     }
@@ -226,8 +249,11 @@ private:
 
     std::vector<double> activity_;
     double var_inc_ = 1.0;
-    std::vector<Var> heap_;
-    std::vector<std::int32_t> heap_pos_;  ///< -1 = not in heap
+    VarHeap order_;  ///< every unassigned variable
+    /// During solve_within() only: the scope's unassigned variables, the
+    /// one queue decisions come from. pos -2 = outside the scope.
+    VarHeap scope_order_;
+    bool scoped_ = false;
     std::vector<std::uint8_t> polarity_;  ///< saved phase (1 = last true)
 
     double cla_inc_ = 1.0;

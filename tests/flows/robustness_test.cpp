@@ -104,6 +104,48 @@ TEST(Robustness, RunAllFlowsNeverCompletesPastItsDeadline) {
     }
 }
 
+TEST(Robustness, SingleFlowJobsNeverCompletePastTheirDeadline) {
+    // Deadlines placed a quarter, half and three quarters into one bdsmaj
+    // job's sign-off, as timed just before in this process. The job may
+    // stop with kDeadlineExceeded (between the two sign-off links, or at
+    // the checkpoint after the flow), but if it completes, its body must
+    // end before the deadline. The body's end is bounded from below by
+    // submission time plus FlowResult::seconds, so dispatch latency can
+    // only hide a late completion, never invent one.
+    using Clock = std::chrono::steady_clock;
+    const Network input = benchgen::benchmark_by_name("SQRT 32 bit");
+    FlowOptions verified;
+    verified.verify = true;
+    (void)flow_bdsmaj(input, verified);  // warm the process-wide caches
+    const auto t0 = Clock::now();
+    const SynthesisResult timed = flow_bdsmaj(input, verified);
+    const double job_ms = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+    const double signoff_ms = timed.verify_seconds * 1e3;
+    SynthesisService service;
+    for (const double into_signoff : {0.25, 0.5, 0.75}) {
+        SynthesisJobParams jp;
+        jp.flow = "bdsmaj";
+        jp.verify = true;
+        jp.deadline_ms = job_ms - signoff_ms + into_signoff * signoff_ms;
+        const auto before = Clock::now();
+        SynthesisService::Submission sub = service.submit(input, jp);
+        const auto after = Clock::now();
+        const FlowResult r = sub.result.get();
+        if (r.status == JobStatus::kCompleted) {
+            const auto body_end_at_least =
+                before + std::chrono::duration_cast<Clock::duration>(
+                             std::chrono::duration<double>(r.seconds));
+            const auto deadline_at_most =
+                after + std::chrono::duration_cast<Clock::duration>(
+                            std::chrono::duration<double, std::milli>(jp.deadline_ms));
+            EXPECT_LE(body_end_at_least, deadline_at_most)
+                << "completed past a deadline " << into_signoff << " into sign-off";
+        } else {
+            EXPECT_EQ(r.status, JobStatus::kDeadlineExceeded);
+        }
+    }
+}
+
 TEST(Robustness, TightSoftBudgetDegradesButCompletesVerified) {
     const Network input = benchgen::benchmark_by_name("f51m", /*quick=*/true);
     SynthesisService service;

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
 #include <vector>
+
+#include "sat/cnf.hpp"
 
 namespace bdsmaj::sat {
 namespace {
@@ -211,6 +214,106 @@ TEST(Solver, RandomThreeSatAgreesWithBruteForce) {
                 ASSERT_TRUE(any) << "trial " << trial;
             }
         }
+    }
+}
+
+TEST(Solver, ScopedQueriesOnGateConesAgreeWithBruteForce) {
+    // A random AND/XOR/MAJ circuit over 8 inputs, Tseitin-encoded, queried
+    // as the equivalence checker does: "x & !y" for two gates, branching
+    // only on their fanin closure, with proven-equal pairs tied by binary
+    // clauses afterwards. Every verdict must match enumeration, and a SAT
+    // model's inputs (unassigned ones read as false) must witness it.
+    std::mt19937_64 rng(0x5c0bed);
+    for (int trial = 0; trial < 20; ++trial) {
+        constexpr int kInputs = 8;
+        constexpr int kGates = 40;
+        Solver s;
+        TseitinEncoder enc(s);
+        std::vector<Lit> lits;
+        std::vector<std::array<int, 3>> fanins;  // per node; -1 padded
+        std::vector<int> kinds;                  // 0 AND, 1 XOR, 2 MAJ; -1 input
+        std::vector<std::array<bool, 3>> fanin_neg;
+        for (int i = 0; i < kInputs; ++i) {
+            lits.push_back(enc.fresh());
+            fanins.push_back({-1, -1, -1});
+            fanin_neg.push_back({false, false, false});
+            kinds.push_back(-1);
+        }
+        for (int g = 0; g < kGates; ++g) {
+            const int n = static_cast<int>(lits.size());
+            const int kind = static_cast<int>(rng() % 3);
+            std::array<int, 3> f{-1, -1, -1};
+            std::array<bool, 3> fn{false, false, false};
+            std::array<Lit, 3> in{};
+            for (int k = 0; k < (kind == 2 ? 3 : 2); ++k) {
+                f[k] = static_cast<int>(rng() % n);
+                fn[k] = (rng() & 1) != 0;
+                in[k] = lits[f[k]] ^ fn[k];
+            }
+            lits.push_back(kind == 0   ? enc.encode_and(in[0], in[1])
+                           : kind == 1 ? enc.encode_xor(in[0], in[1])
+                                       : enc.encode_maj(in[0], in[1], in[2]));
+            fanins.push_back(f);
+            fanin_neg.push_back(fn);
+            kinds.push_back(kind);
+        }
+        const auto eval = [&](unsigned pattern) {
+            std::vector<bool> v(lits.size());
+            for (std::size_t i = 0; i < lits.size(); ++i) {
+                if (kinds[i] < 0) {
+                    v[i] = ((pattern >> i) & 1) != 0;
+                    continue;
+                }
+                std::array<bool, 3> a{};
+                for (int k = 0; k < 3; ++k) {
+                    if (fanins[i][k] >= 0) a[k] = v[fanins[i][k]] != fanin_neg[i][k];
+                }
+                v[i] = kinds[i] == 0   ? (a[0] && a[1])
+                       : kinds[i] == 1 ? (a[0] != a[1])
+                                       : ((a[0] && a[1]) || (a[0] && a[2]) || (a[1] && a[2]));
+            }
+            return v;
+        };
+        for (int q = 0; q < 30; ++q) {
+            const int x = kInputs + static_cast<int>(rng() % kGates);
+            const int y = kInputs + static_cast<int>(rng() % kGates);
+            if (x == y) continue;
+            // The definition closure of x and y.
+            std::vector<int> cone{x, y};
+            std::vector<bool> in_cone(lits.size(), false);
+            in_cone[x] = in_cone[y] = true;
+            for (std::size_t i = 0; i < cone.size(); ++i) {
+                for (const int f : fanins[cone[i]]) {
+                    if (f >= 0 && !in_cone[f]) {
+                        in_cone[f] = true;
+                        cone.push_back(f);
+                    }
+                }
+            }
+            std::vector<Var> scope;
+            for (const int node : cone) scope.push_back(lits[node].var());
+            bool differs = false;
+            for (unsigned p = 0; p < (1u << kInputs) && !differs; ++p) {
+                const std::vector<bool> v = eval(p);
+                differs = v[x] && !v[y];
+            }
+            const SolveResult r = s.solve_within({lits[x], ~lits[y]}, scope);
+            ASSERT_NE(r, SolveResult::kUnknown);
+            ASSERT_EQ(r == SolveResult::kSat, differs) << "trial " << trial << " query " << q;
+            if (r == SolveResult::kSat) {
+                unsigned pattern = 0;
+                for (int i = 0; i < kInputs; ++i) {
+                    if (s.model_true(lits[i])) pattern |= 1u << i;
+                }
+                const std::vector<bool> v = eval(pattern);
+                EXPECT_TRUE(v[x] && !v[y]) << "trial " << trial << " query " << q;
+            } else if (s.solve_within({~lits[x], lits[y]}, scope) == SolveResult::kUnsat) {
+                ASSERT_TRUE(s.add_clause(~lits[x], lits[y]));
+                ASSERT_TRUE(s.add_clause(lits[x], ~lits[y]));
+            }
+        }
+        // Scoped queries leave an ordinary solver behind.
+        EXPECT_EQ(s.solve(), SolveResult::kSat);
     }
 }
 

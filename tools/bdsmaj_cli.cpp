@@ -361,27 +361,6 @@ void save_exact_cache(const Options& opt) {
     }
 }
 
-bool verify_result(const net::Network& input, const flows::SynthesisResult& result,
-                   net::EquivEngine oracle) {
-    net::CecParams cec;
-    cec.engine = oracle;
-    for (const net::Network* stage : {&result.optimized, &result.mapped.netlist}) {
-        const auto eq = net::check_equivalent(input, *stage, cec);
-        if (!eq.equivalent) {
-            std::fprintf(stderr, "VERIFICATION FAILED (engine %s): %s\n",
-                         net::equiv_engine_name(eq.engine), eq.reason.c_str());
-            return false;
-        }
-        if (!eq.exact) {
-            // Only the sim engine leaves a sampled verdict; make the
-            // weaker guarantee impossible to miss.
-            std::fprintf(stderr, "note: --oracle sim agreement is sampled, "
-                                 "not an exact sign-off\n");
-        }
-    }
-    return true;
-}
-
 /// Batch service mode: every input becomes one async job on the shared
 /// scheduler; results print in submission order regardless of completion
 /// order, so the output is stable.
@@ -734,7 +713,27 @@ int main(int argc, char** argv) {
     }
 
     bool equivalent = true;
-    if (opt.verify) equivalent = verify_result(input, result, opt.oracle);
+    if (opt.verify) {
+        flows::FlowOptions sign_off;
+        sign_off.oracle = opt.oracle;
+        try {
+            flows::verify_synthesis_result(input, result, sign_off);
+        } catch (const std::runtime_error&) {
+            // A mismatch leaves its verdict behind; anything else (an
+            // exhausted output miter) is not a verdict and propagates.
+            if (!result.equivalence || result.equivalence->equivalent) throw;
+            std::fprintf(stderr, "VERIFICATION FAILED (engine %s): %s\n",
+                         net::equiv_engine_name(result.equivalence->engine),
+                         result.equivalence->reason.c_str());
+            equivalent = false;
+        }
+        if (equivalent && !result.equivalence->exact) {
+            // Only the sim engine leaves a sampled verdict; make the
+            // weaker guarantee impossible to miss.
+            std::fprintf(stderr, "note: --oracle sim agreement is sampled, "
+                                 "not an exact sign-off\n");
+        }
+    }
     print_result(input, result, result.optimize_seconds, opt.verify, equivalent,
                  opt.quiet);
     if (!opt.quiet) print_cache_summary();

@@ -69,10 +69,11 @@ echo "==> tier-1: ctest"
 
 echo "==> tier-1: shared-state suites in one process"
 # ctest runs every test in a fresh process, which hides tests that lean
-# on process-wide state (the exact-synthesis class cache, the solver's
-# pinned trajectories) left behind by an earlier test. Run those suites
-# back to back in a single process as well.
-./build/bdsmaj_tests --gtest_filter='ExactPersist*:ExactSat*:Solver*:SolverTrajectory*'
+# on process-wide state (the exact-synthesis class cache, the wide-class
+# cache the StrategyWide counters read, the solver's pinned trajectories)
+# left behind by an earlier test. Run those suites back to back in a
+# single process as well.
+./build/bdsmaj_tests --gtest_filter='ExactPersist*:ExactSat*:Solver*:SolverTrajectory*:StrategyWide*'
 
 echo "==> docs: CLI reference drift check"
 # docs/cli.md is generated from the binary's own --help/--list-presets
