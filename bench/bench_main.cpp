@@ -570,7 +570,9 @@ ScalingResult bench_thread_scaling(bool smoke) {
         level.jobs = jobs;
         {
             const auto start = Clock::now();
-            const auto results = flows::run_suite(inputs, jobs);
+            flows::FlowOptions options;
+            options.jobs = jobs;
+            const auto results = flows::run_suite(inputs, options);
             level.suite_seconds = seconds_since(start);
             for (const auto& r : results) {
                 level.suite_fp.maj_gates += r[0].mapped.gate_count;
@@ -858,7 +860,7 @@ std::vector<OracleEntry> bench_oracle(bool smoke) {
     cases.push_back({"rev15", benchgen::make_reciprocal(15), true});
     std::vector<OracleEntry> out;
     for (Case& c : cases) {
-        const decomp::DecompFlowResult d = decomp::run_bdsmaj(c.network);
+        const decomp::DecompFlowResult d = decomp::decompose_network(c.network);
         OracleEntry entry;
         entry.name = c.name;
         entry.inputs = static_cast<int>(c.network.inputs().size());
@@ -1092,7 +1094,7 @@ ResilienceBenchResult bench_resilience(bool smoke) {
             flows::ServiceParams{.start_paused = true});
         flows::SynthesisJobParams jp;
         jp.flow = "bdsmaj";
-        jp.deadline_ms = 0.5;
+        jp.deadline = Clock::now() + std::chrono::microseconds(500);
         std::vector<flows::SynthesisService::Submission> subs;
         for (const std::string& name : names) {
             subs.push_back(service.submit(
@@ -1118,7 +1120,7 @@ ResilienceBenchResult bench_resilience(bool smoke) {
         flows::SynthesisService service;
         flows::SynthesisJobParams jp;
         jp.flow = "bdsmaj";
-        jp.soft_budget_ms = 0.01;
+        jp.soft_budget = Clock::now();  // expired on arrival
         jp.verify = true;
         std::vector<flows::SynthesisService::Submission> subs;
         for (const std::string& name : names) {

@@ -39,11 +39,13 @@ int main() {
     double sum_maj_sec = 0, sum_pga_sec = 0;
     int verified = 0;
 
+    decomp::DecompFlowParams pga_params;  // BDS-PGA: no majority stage
+    pga_params.engine.use_majority = false;
     for (const auto& row : bench::kTable1) {
         const net::Network input =
             benchgen::benchmark_by_name(std::string(row.name), quick);
-        const decomp::DecompFlowResult maj = decomp::run_bdsmaj(input);
-        const decomp::DecompFlowResult pga = decomp::run_bdspga(input);
+        const decomp::DecompFlowResult maj = decomp::decompose_network(input);
+        const decomp::DecompFlowResult pga = decomp::decompose_network(input, pga_params);
         // Sign-off: both decompositions must be functionally equivalent.
         if (net::check_equivalent(input, maj.network, 20, 32).equivalent &&
             net::check_equivalent(input, pga.network, 20, 32).equivalent) {

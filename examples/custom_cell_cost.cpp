@@ -35,7 +35,7 @@ bdsmaj::mapping::CellLibrary scaled_library(double maj_area_factor,
 int main() {
     using namespace bdsmaj;
     const net::Network input = benchgen::make_restoring_divider(8);
-    const decomp::DecompFlowResult d = decomp::run_bdsmaj(input);
+    const decomp::DecompFlowResult d = decomp::decompose_network(input);
     std::printf("8-bit divider decomposed once with BDS-MAJ: %d nodes, %d MAJ\n\n",
                 d.network.stats().total(), d.network.stats().maj_nodes);
 

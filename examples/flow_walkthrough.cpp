@@ -31,7 +31,7 @@ int main() {
                 supernodes.size(), max_leaves, max_cone);
 
     std::printf("=== phases 2-4: local BDDs, reordering, decomposition ===\n");
-    const decomp::DecompFlowResult d = decomp::run_bdsmaj(input);
+    const decomp::DecompFlowResult d = decomp::decompose_network(input);
     const decomp::EngineStats& es = d.engine_stats;
     std::printf("decomposition steps: AND=%d OR=%d XOR=%d MAJ=%d MUX(Shannon)=%d\n",
                 es.and_steps, es.or_steps, es.xor_steps, es.maj_steps, es.mux_steps);

@@ -35,22 +35,32 @@ aig::Aig resyn2_of(const net::Network& input) {
 
 }  // namespace
 
-SynthesisResult flow_dc(const net::Network& input) {
+SynthesisResult flow_dc(const net::Network& input, const FlowOptions& options) {
     const auto start = std::chrono::steady_clock::now();
     SynthesisResult result;
     result.flow_name = "DC";
 
+    // checkpoint(options) after each candidate: the recipes themselves are
+    // not interruptible, so a cancelled or overdue run stops between them.
     std::vector<net::Network> candidates;
     {
         const aig::Aig once = resyn2_of(input);
         candidates.push_back(to_network(once, input));
+        checkpoint(options);
         candidates.push_back(to_network(aig::resyn2(once), input));
+        checkpoint(options);
     }
     {
+        // The engine defaults, not the caller's decomposition knobs: the
+        // proxy models a fixed commercial recipe. Only the stop conditions
+        // pass through.
         decomp::DecompFlowParams params;
         params.engine.use_majority = false;
+        params.cancel = options.cancel;
+        params.deadline = options.deadline;
         decomp::DecompFlowResult d = decomp::decompose_network(input, params);
         candidates.push_back(to_network(resyn2_of(d.network), d.network));
+        checkpoint(options);
         candidates.push_back(std::move(d.network));
     }
 
@@ -67,6 +77,7 @@ SynthesisResult flow_dc(const net::Network& input) {
     result.optimized_stats = result.optimized.stats();
     result.optimize_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+    if (options.verify) verify_synthesis_result(input, result, options);
     return result;
 }
 

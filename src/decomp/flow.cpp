@@ -212,17 +212,25 @@ DecompFlowParams degraded_stage_params(const DecompFlowParams& base,
 
 }  // namespace
 
+void checkpoint(const DecompFlowParams& params) {
+    if (params.cancel != nullptr && params.cancel->load(std::memory_order_relaxed)) {
+        throw FlowCancelled();
+    }
+    if (params.deadline && std::chrono::steady_clock::now() >= *params.deadline) {
+        throw DeadlineExceeded();
+    }
+}
+
 DecompFlowResult decompose_network(const Network& input, const DecompFlowParams& orig_params) {
     const auto start = std::chrono::steady_clock::now();
 
-    // Resolve the symmetry-sifting tri-state into the manager knob every
-    // supernode worker sees, BEFORE the cone-cache config blob is built —
-    // the blob must capture the resolved value, not the tri-state.
+    // Resolve the symmetry-sifting choice (forced, or the preset's default)
+    // into the manager knob every supernode worker sees, BEFORE the
+    // cone-cache config blob is built — the blob must capture the resolved
+    // value.
     DecompFlowParams params = orig_params;
     params.manager.sift_symmetry =
-        params.sift_symmetry < 0
-            ? preset_sift_symmetry_default(params.engine.preset)
-            : params.sift_symmetry != 0;
+        params.sift_symmetry.value_or(preset_sift_symmetry_default(params.engine.preset));
 
     const std::vector<Supernode> supernodes =
         partition_network(input, params.partition);
@@ -243,23 +251,6 @@ DecompFlowResult decompose_network(const Network& input, const DecompFlowParams&
         leaf_signals.reserve(sn.leaves.size());
         for (const NodeId leaf : sn.leaves) leaf_signals.push_back(signal_of[leaf]);
         signal_of[sn.root] = tape.replay(builder, leaf_signals);
-    };
-
-    // Both branches drive the builder with the identical call sequence —
-    // tape i replayed after tapes [0, i) — so the output network is
-    // byte-identical at any worker count.
-    const auto cancelled = [&params] {
-        return params.cancel != nullptr &&
-               params.cancel->load(std::memory_order_relaxed);
-    };
-    // Per-supernode checkpoint: cancellation, then the hard deadline. With
-    // no deadline configured this costs one branch — no clock read.
-    const auto checkpoint = [&] {
-        if (cancelled()) throw FlowCancelled();
-        if (params.deadline &&
-            std::chrono::steady_clock::now() >= *params.deadline) {
-            throw DeadlineExceeded();
-        }
     };
 
     // One config blob per flow: the canonical-key prefix capturing every
@@ -342,136 +333,117 @@ DecompFlowResult decompose_network(const Network& input, const DecompFlowParams&
         }
     };
 
-    if (workers <= 1) {
-        // Serial: decompose and replay one supernode at a time, so only
-        // one tape is ever live (the batch path below would hold the gate
-        // IR of the whole network at once for no parallelism in return).
-        WorkerState ws;
-        for (const Supernode& sn : supernodes) {
-            checkpoint();
-            EngineStats stats;
-            const std::shared_ptr<const net::GateTape> tape =
-                produce_staged(sn, ws, stats);
-            replay_tape(sn, *tape);
-            result.engine_stats += stats;
-        }
-    } else {
-        // Pipelined: stage 1 (per-supernode {local BDD, sift, decompose}
-        // into private tapes) fans out over the shared process pool while
-        // THIS thread replays finished tapes strictly in supernode order
-        // into the shared hash-consing builder — replay of tape i overlaps
-        // the decomposition of i+1. The fixed replay order is what keeps
-        // the output byte-identical at any worker count; the window caps
-        // how many decomposed-but-unreplayed tapes are held at once, so
-        // memory stays bounded instead of holding the gate IR of the
-        // whole network.
-        const std::size_t n = supernodes.size();
-        std::vector<std::shared_ptr<const net::GateTape>> tapes(n);
-        std::vector<EngineStats> stats_of(n);
-        std::vector<WorkerState> worker_state(static_cast<std::size_t>(workers));
-        const std::size_t window =
-            params.replay_window > 0
-                ? static_cast<std::size_t>(params.replay_window)
-                : 2 * static_cast<std::size_t>(workers) + 2;
+    // Pipelined: stage 1 (per-supernode {local BDD, sift, decompose} into
+    // private tapes) fans out over the shared process pool while THIS
+    // thread replays finished tapes strictly in supernode order into the
+    // shared hash-consing builder — replay of tape i overlaps the
+    // decomposition of i+1. The fixed replay order (tape i after tapes
+    // [0, i)) is what keeps the output byte-identical at any worker count;
+    // with one worker the caller alternates decomposing and replaying, so
+    // only one tape is live. The window caps how many decomposed-but-
+    // unreplayed tapes are held at once, so memory stays bounded instead
+    // of holding the gate IR of the whole network. The per-supernode slots
+    // form a ring of `window` entries: supernode i uses slot i % window,
+    // which supernode i - window released when it was replayed.
+    const std::size_t n = supernodes.size();
+    std::vector<WorkerState> worker_state(static_cast<std::size_t>(workers));
+    const std::size_t window = params.replay_window > 0
+                                   ? static_cast<std::size_t>(params.replay_window)
+                                   : 2 * static_cast<std::size_t>(workers) + 2;
+    std::vector<std::shared_ptr<const net::GateTape>> tapes(window);
+    std::vector<EngineStats> stats_of(window);
 
-        std::mutex m;
-        std::condition_variable ready_cv;  // replayer waits for tape `replayed`
-        std::condition_variable space_cv;  // runners wait for window space
-        std::size_t next = 0;              // next supernode to decompose
-        std::size_t replayed = 0;          // tapes already merged
-        std::vector<std::uint8_t> ready(n, 0);
-        std::exception_ptr err;
+    std::mutex m;
+    std::condition_variable ready_cv;  // replayer waits for tape `replayed`
+    std::condition_variable space_cv;  // runners wait for window space
+    std::size_t next = 0;              // next supernode to decompose
+    std::size_t replayed = 0;          // tapes already merged
+    std::vector<std::uint8_t> ready(window, 0);
+    std::exception_ptr err;
 
-        const auto decompose_one = [&](std::size_t i, int slot) {
-            try {
-                // Per-supernode cancellation/deadline checkpoint: stop
-                // before starting another cone; the shared error slot
-                // aborts the rest of the pipeline exactly like a failure
-                // would.
-                checkpoint();
-                tapes[i] = produce_staged(supernodes[i],
-                                          worker_state[static_cast<std::size_t>(slot)],
-                                          stats_of[i]);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(m);
-                if (!err) err = std::current_exception();
-                space_cv.notify_all();
-            }
+    const auto decompose_one = [&](std::size_t i, int worker) {
+        const std::size_t slot = i % window;
+        try {
+            // Per-supernode cancellation/deadline checkpoint: stop before
+            // starting another cone; the shared error slot aborts the rest
+            // of the pipeline exactly like a failure would.
+            checkpoint(params);
+            stats_of[slot] = EngineStats{};
+            tapes[slot] = produce_staged(supernodes[i],
+                                         worker_state[static_cast<std::size_t>(worker)],
+                                         stats_of[slot]);
+        } catch (...) {
             std::lock_guard<std::mutex> lock(m);
-            ready[i] = 1;
-            ready_cv.notify_all();
-        };
+            if (!err) err = std::current_exception();
+            space_cv.notify_all();
+        }
+        std::lock_guard<std::mutex> lock(m);
+        ready[slot] = 1;
+        ready_cv.notify_all();
+    };
 
-        const std::function<void(int)> runner = [&](int slot) {
-            for (;;) {
-                std::size_t i;
-                {
-                    std::unique_lock<std::mutex> lock(m);
-                    // Strict <: next - replayed counts in-flight tapes
-                    // too, so this is what holds the outstanding gate IR
-                    // to at most `window` supernodes.
-                    space_cv.wait(lock, [&] {
-                        return err != nullptr || next >= n ||
-                               next - replayed < window;
-                    });
-                    if (err != nullptr || next >= n) break;
-                    i = next++;
-                }
-                decompose_one(i, slot);
+    const std::function<void(int)> runner = [&](int worker) {
+        for (;;) {
+            std::size_t i;
+            {
+                std::unique_lock<std::mutex> lock(m);
+                // Strict <: next - replayed counts in-flight tapes too, so
+                // this is what holds the outstanding gate IR to at most
+                // `window` supernodes.
+                space_cv.wait(lock, [&] {
+                    return err != nullptr || next >= n || next - replayed < window;
+                });
+                if (err != nullptr || next >= n) break;
+                i = next++;
             }
-        };
+            decompose_one(i, worker);
+        }
+    };
 
-        runtime::HelperSet helpers(workers - 1, runner);
-        // The caller is the replayer — and runner slot 0: when the next
-        // tape in order is not ready yet it decomposes a supernode itself
-        // instead of idling, so progress never depends on the pool having
-        // free workers (decompose_network stays safe to call from inside
-        // a pool task).
-        {
-            std::unique_lock<std::mutex> lock(m);
-            while (replayed < n && err == nullptr) {
-                if (cancelled()) {
-                    err = std::make_exception_ptr(FlowCancelled());
+    runtime::HelperSet helpers(workers - 1, runner);
+    // The caller is the replayer — and runner slot 0: when the next tape in
+    // order is not ready yet it decomposes a supernode itself instead of
+    // idling, so progress never depends on the pool having free workers
+    // (decompose_network stays safe to call from inside a pool task).
+    {
+        std::unique_lock<std::mutex> lock(m);
+        while (replayed < n && err == nullptr) {
+            try {
+                checkpoint(params);
+            } catch (...) {
+                err = std::current_exception();
+                space_cv.notify_all();
+                break;
+            }
+            const std::size_t slot = replayed % window;
+            if (ready[slot]) {
+                lock.unlock();
+                try {
+                    replay_tape(supernodes[replayed], *tapes[slot]);
+                    tapes[slot].reset();  // drop this flow's tape reference now
+                } catch (...) {
+                    lock.lock();
+                    if (!err) err = std::current_exception();
                     space_cv.notify_all();
                     break;
                 }
-                if (params.deadline &&
-                    std::chrono::steady_clock::now() >= *params.deadline) {
-                    err = std::make_exception_ptr(DeadlineExceeded());
-                    space_cv.notify_all();
-                    break;
-                }
-                if (ready[replayed]) {
-                    const std::size_t i = replayed;
-                    lock.unlock();
-                    try {
-                        replay_tape(supernodes[i], *tapes[i]);
-                        tapes[i].reset();  // drop this flow's tape reference now
-                    } catch (...) {
-                        lock.lock();
-                        if (!err) err = std::current_exception();
-                        space_cv.notify_all();
-                        break;
-                    }
-                    result.engine_stats += stats_of[i];
-                    lock.lock();
-                    ++replayed;
-                    space_cv.notify_all();
-                } else if (next < n && next - replayed < window) {
-                    const std::size_t i = next++;
-                    lock.unlock();
-                    decompose_one(i, 0);
-                    lock.lock();
-                } else {
-                    ready_cv.wait(lock, [&] {
-                        return ready[replayed] != 0 || err != nullptr;
-                    });
-                }
+                result.engine_stats += stats_of[slot];
+                lock.lock();
+                ready[slot] = 0;
+                ++replayed;
+                space_cv.notify_all();
+            } else if (next < n && next - replayed < window) {
+                const std::size_t i = next++;
+                lock.unlock();
+                decompose_one(i, 0);
+                lock.lock();
+            } else {
+                ready_cv.wait(lock, [&] { return ready[slot] != 0 || err != nullptr; });
             }
         }
-        helpers.join();
-        if (err) std::rethrow_exception(err);
     }
+    helpers.join();
+    if (err) std::rethrow_exception(err);
 
     if (params.cone_cache) {
         // Flow-level cache telemetry: evictions attributable to this run
@@ -488,32 +460,9 @@ DecompFlowResult decompose_network(const Network& input, const DecompFlowParams&
 
     result.supernode_count = static_cast<int>(supernodes.size());
     result.network = params.final_cleanup ? net::cleanup(out) : std::move(out);
-    if (params.self_check) {
-        net::CecParams cec;
-        cec.engine = params.oracle;
-        net::EquivalenceResult eq = net::check_equivalent(input, result.network, cec);
-        if (!eq.equivalent) {
-            throw std::runtime_error("decompose_network: self-check failed (engine " +
-                                     std::string(net::equiv_engine_name(eq.engine)) +
-                                     "): " + eq.reason);
-        }
-        result.equivalence = std::move(eq);
-    }
     result.seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     return result;
-}
-
-DecompFlowResult run_bdsmaj(const Network& input) {
-    DecompFlowParams params;
-    params.engine.use_majority = true;
-    return decompose_network(input, params);
-}
-
-DecompFlowResult run_bdspga(const Network& input) {
-    DecompFlowParams params;
-    params.engine.use_majority = false;
-    return decompose_network(input, params);
 }
 
 }  // namespace bdsmaj::decomp

@@ -26,7 +26,6 @@
 
 #include "decomp/engine.hpp"
 #include "decomp/partition.hpp"
-#include "network/cec.hpp"
 #include "network/network.hpp"
 
 namespace bdsmaj::decomp {
@@ -65,13 +64,13 @@ struct DecompFlowParams {
     /// Sift each supernode's local BDD before decomposing (paper SIV-B).
     bool reorder = true;
     /// Symmetry-aware sifting (detect symmetric variable groups, move them
-    /// as blocks): -1 = let the preset decide
+    /// as blocks). Unset = let the preset decide
     /// (preset_sift_symmetry_default; off for `paper` and the pinned
-    /// baselines, on for `symmetry`/`exact-aggressive`/`best-cost`),
-    /// 0 = force off, 1 = force on. Resolved once at decompose_network
-    /// entry into manager.sift_symmetry, before the cone-cache config blob
-    /// is computed.
-    int sift_symmetry = -1;
+    /// baselines, on for `symmetry`/`exact-aggressive`/`best-cost`).
+    /// Resolved once at decompose_network entry into
+    /// manager.sift_symmetry, before the cone-cache config blob is
+    /// computed.
+    std::optional<bool> sift_symmetry;
     /// Consult the process-wide canonical cone cache
     /// (decomp/cone_cache.hpp): a supernode whose canonical cone signature
     /// was decomposed before — by this run, an earlier run, or a
@@ -82,16 +81,16 @@ struct DecompFlowParams {
     bool cone_cache = true;
     /// Run structural cleanup on the result.
     bool final_cleanup = true;
-    /// Worker budget for the per-supernode stage: 1 = serial on the
-    /// calling thread, N > 1 = up to N concurrent runners on the shared
-    /// process pool (runtime::global_pool()), <= 0 = all hardware
-    /// threads. The output network does not depend on this.
+    /// Worker budget for the per-supernode stage: 1 = one runner on the
+    /// calling thread (no pool is touched), N > 1 = up to N concurrent
+    /// runners on the shared process pool (runtime::global_pool()), <= 0 =
+    /// all hardware threads. The output network does not depend on this.
     int jobs = 1;
-    /// Parallel path only: how many decomposed-but-not-yet-replayed tapes
-    /// may exist at once. Replay of supernode i is pipelined with the
-    /// decomposition of later supernodes, and this window bounds the gate
-    /// IR held in memory; <= 0 picks 2 * workers + 2. The output network
-    /// does not depend on this either.
+    /// How many decomposed-but-not-yet-replayed tapes may exist at once.
+    /// Replay of supernode i is pipelined with the decomposition of later
+    /// supernodes, and this window bounds the gate IR held in memory; <= 0
+    /// picks 2 * workers + 2. The output network does not depend on this
+    /// either.
     int replay_window = 0;
     /// Cooperative cancellation token. When non-null and set (by any
     /// thread), decompose_network stops at the next per-supernode
@@ -117,15 +116,6 @@ struct DecompFlowParams {
     /// Only consulted when a soft budget or a resource guard
     /// (manager.max_live_nodes / manager.sift_max_swaps) is configured.
     std::vector<std::string> degrade_ladder;
-    /// Equivalence engine for the optional sign-off below (and for callers
-    /// that verify externally and want one knob to thread through).
-    net::EquivEngine oracle = net::EquivEngine::kAuto;
-    /// Verify the decomposed network against the input before returning.
-    /// The verdict lands in DecompFlowResult::equivalence; an inequivalent
-    /// result (an engine bug) throws std::runtime_error carrying the
-    /// counterexample description. With any engine but kSim the sign-off
-    /// is exact at every input width.
-    bool self_check = false;
 };
 
 struct DecompFlowResult {
@@ -133,18 +123,16 @@ struct DecompFlowResult {
     EngineStats engine_stats;
     int supernode_count = 0;
     double seconds = 0.0;
-    /// Oracle verdict when DecompFlowParams::self_check was set (always
-    /// `equivalent`, or decompose_network would have thrown).
-    std::optional<net::EquivalenceResult> equivalence;
 };
+
+/// The cancellation and deadline checkpoint: throws FlowCancelled once
+/// `params.cancel` is set, then DeadlineExceeded once `params.deadline` has
+/// passed. With no deadline set it reads no clock.
+void checkpoint(const DecompFlowParams& params);
 
 /// Decompose `input` with the BDS-MAJ engine. The result is functionally
 /// equivalent to the input (tests enforce it on every benchmark).
 [[nodiscard]] DecompFlowResult decompose_network(const net::Network& input,
                                                  const DecompFlowParams& params = {});
-
-/// Convenience wrappers for the two Table I configurations.
-[[nodiscard]] DecompFlowResult run_bdsmaj(const net::Network& input);
-[[nodiscard]] DecompFlowResult run_bdspga(const net::Network& input);
 
 }  // namespace bdsmaj::decomp

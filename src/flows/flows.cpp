@@ -20,15 +20,6 @@ double seconds_since(Clock::time_point start) {
 
 }  // namespace
 
-void checkpoint(const FlowOptions& options) {
-    if (options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed)) {
-        throw decomp::FlowCancelled();
-    }
-    if (options.deadline && Clock::now() >= *options.deadline) {
-        throw decomp::DeadlineExceeded();
-    }
-}
-
 void verify_synthesis_result(const net::Network& input, SynthesisResult& result,
                              const FlowOptions& options) {
     const auto start = Clock::now();
@@ -56,34 +47,17 @@ void verify_synthesis_result(const net::Network& input, SynthesisResult& result,
 
 namespace {
 
-SynthesisResult from_decomposition(std::string name, const net::Network& input,
+SynthesisResult from_decomposition(const std::string& name, const net::Network& input,
                                    bool use_majority, const FlowOptions& options) {
     const auto start = Clock::now();
-    decomp::DecompFlowParams params;
+    decomp::DecompFlowParams params = options;
     params.engine.use_majority = use_majority;
     params.engine.preset = options.preset;
-    if (options.exact_max_support >= 0) {
-        params.engine.exact_max_support = options.exact_max_support;
-    }
-    if (options.exact_sat_budget >= 0) {
-        params.engine.exact_sat_budget = options.exact_sat_budget;
-    }
-    if (options.exact_sat_max_steps >= 0) {
-        params.engine.exact_sat_max_steps = options.exact_sat_max_steps;
-    }
-    params.manager = options.manager;
-    params.sift_symmetry = options.sift_symmetry;
-    params.cone_cache = options.cone_cache;
-    params.jobs = options.jobs;
-    params.cancel = options.cancel;
-    params.deadline = options.deadline;
-    params.soft_budget = options.soft_budget;
-    params.degrade_ladder = options.degrade_ladder;
     decomp::DecompFlowResult d = decomp::decompose_network(input, params);
     SynthesisResult result;
     // Non-default presets surface in the flow name so multi-preset sweeps
     // stay tellable apart in logs and CLI output.
-    result.flow_name = decorated_flow_name(std::move(name), options.preset);
+    result.flow_name = options.preset == "paper" ? name : name + "(" + options.preset + ")";
     result.engine_stats = d.engine_stats;
     result.optimized = std::move(d.network);
     result.optimized_stats = result.optimized.stats();
@@ -108,15 +82,7 @@ SynthesisResult flow_bdspga(const net::Network& input, const FlowOptions& option
     return from_decomposition("BDS-PGA", input, /*use_majority=*/false, options);
 }
 
-SynthesisResult flow_bdsmaj(const net::Network& input, int jobs) {
-    return flow_bdsmaj(input, FlowOptions{.jobs = jobs});
-}
-
-SynthesisResult flow_bdspga(const net::Network& input, int jobs) {
-    return flow_bdspga(input, FlowOptions{.jobs = jobs});
-}
-
-SynthesisResult flow_abc(const net::Network& input) {
+SynthesisResult flow_abc(const net::Network& input, const FlowOptions& options) {
     const auto start = Clock::now();
     SynthesisResult result;
     result.flow_name = "ABC";
@@ -136,65 +102,59 @@ SynthesisResult flow_abc(const net::Network& input) {
     result.optimized_stats = result.optimized.stats();
     result.optimize_seconds = seconds_since(start);
     result.mapped = mapping::map_network(result.optimized, default_library());
+    if (options.verify) verify_synthesis_result(input, result, options);
     return result;
-}
-
-std::string decorated_flow_name(std::string base, const std::string& preset) {
-    if (preset != "paper") base += "(" + preset + ")";
-    return base;
 }
 
 std::vector<SynthesisResult> run_all_flows(const net::Network& input,
                                            const FlowOptions& options) {
-    // The BDS flows checkpoint internally (between supernodes); the ABC
-    // and DC passes are not interruptible, so check the token — and the
-    // hard deadline — at every flow boundary, the last one included: a job
-    // that overran inside DC (or its sign-off) must not report completion.
+    // The BDS flows checkpoint internally (between supernodes) and DC
+    // between its candidates; the ABC pass and each sign-off link are not
+    // interruptible, so check the token — and the hard deadline — at every
+    // flow boundary, the last one included.
     std::vector<SynthesisResult> out;
-    out.push_back(flow_bdsmaj(input, options));
-    out.push_back(flow_bdspga(input, options));
-    checkpoint(options);
-    out.push_back(flow_abc(input));
-    checkpoint(options);
-    out.push_back(flow_dc(input));
-    checkpoint(options);
-    if (options.verify) {
-        // The BDS flows signed off inside from_decomposition; ABC and DC
-        // take no options, so their sign-off happens here.
-        verify_synthesis_result(input, out[2], options);
-        checkpoint(options);
-        verify_synthesis_result(input, out[3], options);
+    for (const auto flow : {flow_bdsmaj, flow_bdspga, flow_abc, flow_dc}) {
+        out.push_back(flow(input, options));
         checkpoint(options);
     }
     return out;
 }
 
-std::vector<SynthesisResult> run_all_flows(const net::Network& input, int jobs) {
-    return run_all_flows(input, FlowOptions{.jobs = jobs});
+std::vector<SynthesisResult> run_flow(const net::Network& input, const std::string& flow,
+                                      const FlowOptions& options) {
+    if (flow == "all") return run_all_flows(input, options);
+    std::vector<SynthesisResult> out;
+    if (flow == "bdsmaj") {
+        out.push_back(flow_bdsmaj(input, options));
+    } else if (flow == "bdspga") {
+        out.push_back(flow_bdspga(input, options));
+    } else if (flow == "abc") {
+        out.push_back(flow_abc(input, options));
+    } else if (flow == "dc") {
+        out.push_back(flow_dc(input, options));
+    } else {
+        throw std::invalid_argument("unknown flow \"" + flow + "\"");
+    }
+    // As in run_all_flows: a run that overran inside its flow, its mapping
+    // or its sign-off must not report completion.
+    checkpoint(options);
+    return out;
 }
 
-std::vector<std::vector<SynthesisResult>> run_suite(
-    const std::vector<net::Network>& inputs, const FlowOptions& options) {
+std::vector<std::vector<SynthesisResult>> run_suite(const std::vector<net::Network>& inputs,
+                                                    const FlowOptions& options,
+                                                    const std::string& flow) {
     std::vector<std::vector<SynthesisResult>> results(inputs.size());
     FlowOptions per_circuit = options;
-    per_circuit.jobs = 1;  // the budget fans out across circuits instead
+    if (inputs.size() > 1) per_circuit.jobs = 1;  // the budget fans out across circuits
     runtime::parallel_for(inputs.size(), runtime::effective_jobs(options.jobs),
                           [&](std::size_t i, int /*worker*/) {
-                              // Between-circuit cancellation checkpoint; the
-                              // per-supernode checkpoints inside the BDS
-                              // decompositions cover long single circuits.
-                              if (options.cancel != nullptr &&
-                                  options.cancel->load(std::memory_order_relaxed)) {
-                                  throw decomp::FlowCancelled();
-                              }
-                              results[i] = run_all_flows(inputs[i], per_circuit);
+                              // Between-circuit checkpoint; the flows' own
+                              // checkpoints cover long single circuits.
+                              checkpoint(options);
+                              results[i] = run_flow(inputs[i], flow, per_circuit);
                           });
     return results;
-}
-
-std::vector<std::vector<SynthesisResult>> run_suite(
-    const std::vector<net::Network>& inputs, int jobs) {
-    return run_suite(inputs, FlowOptions{.jobs = jobs});
 }
 
 }  // namespace bdsmaj::flows

@@ -11,8 +11,6 @@
 //               area effort (see docs/architecture.md, "Substitutions", for
 //               the substitution rationale)
 
-#include <atomic>
-#include <chrono>
 #include <optional>
 #include <string>
 #include <vector>
@@ -24,62 +22,21 @@
 
 namespace bdsmaj::flows {
 
-/// Per-run knobs shared by the flow entry points.
-struct FlowOptions {
-    /// Worker budget for the supernode pipeline (DecompFlowParams::jobs
-    /// semantics: 1 = serial, <= 0 = all hardware threads); the result
-    /// does not depend on it.
-    int jobs = 1;
+/// Per-run knobs of every flow: the decomposition parameters the BDS flows
+/// hand to decomp::decompose_network, plus the flow-level preset and
+/// sign-off. Each BDS flow picks `engine.use_majority` itself (BDS-MAJ
+/// on, BDS-PGA off). ABC and DC ignore the decomposition knobs: DC's
+/// internal decomposition runs the engine defaults and takes only
+/// `cancel` and `deadline`, so its netlists never depend on them.
+struct FlowOptions : decomp::DecompFlowParams {
     /// Decomposition strategy preset for the BDS flows (see
-    /// decomp::preset_catalog()); "paper" reproduces the published ladder
-    /// byte-for-byte. ABC/DC ignore it.
+    /// decomp::preset_catalog()); it replaces `engine.preset`. "paper"
+    /// reproduces the published ladder byte-for-byte. Non-default presets
+    /// also decorate the flow name ("BDS-MAJ(exact-aggressive)").
     std::string preset = "paper";
-    /// Per-supernode BDD manager tuning (reordering budget: sift growth
-    /// bound, converging sift, variable cap). Defaults keep the preset
-    /// fingerprints; ABC/DC ignore it.
-    bdd::ManagerParams manager{};
-    /// Exact-cone effort overrides for the BDS flows; negative = keep the
-    /// EngineParams default. exact_max_support caps the exact strategy's
-    /// cone width (4 = enumerated classes only, 5-6 engage the SAT
-    /// backend); exact_sat_budget is its per-class conflict budget (0
-    /// disables SAT synthesis); exact_sat_max_steps the longest chain
-    /// tried. ABC/DC ignore all three.
-    int exact_max_support = -1;
-    long long exact_sat_budget = -1;
-    int exact_sat_max_steps = -1;
-    /// Symmetry-aware sifting for the BDS flows
-    /// (DecompFlowParams::sift_symmetry tri-state): -1 = preset decides,
-    /// 0 = force off, 1 = force on. ABC/DC ignore it.
-    int sift_symmetry = -1;
-    /// Consult the process-wide canonical cone cache in the BDS flows
-    /// (DecompFlowParams::cone_cache): repeated cones — within a circuit,
-    /// across circuits, across jobs — replay cached GateTapes instead of
-    /// re-decomposing. Results are byte-identical either way; the budget
-    /// knob lives on decomp::ConeCache::instance(). ABC/DC ignore it.
-    bool cone_cache = true;
-    /// Cooperative cancellation token, checked between supernodes inside
-    /// the BDS decomposition (decomp::FlowCancelled propagates out) and
-    /// between circuits in run_suite. Null = not cancellable.
-    const std::atomic<bool>* cancel = nullptr;
-    /// Absolute hard deadline (DecompFlowParams::deadline semantics):
-    /// checked at the per-supernode checkpoints of the BDS flows, between
-    /// the two links of the sign-off, and at every flow boundary in
-    /// run_all_flows and the service's single-flow jobs, after the last
-    /// flow too (a job that overran inside DC or its sign-off never
-    /// returns normally); once passed, decomp::DeadlineExceeded propagates
-    /// out. The ABC/DC passes and each equivalence check themselves are
-    /// not interruptible. Unset = no deadline.
-    std::optional<std::chrono::steady_clock::time_point> deadline;
-    /// Absolute soft budget (DecompFlowParams::soft_budget): once passed,
-    /// the BDS flows degrade remaining supernodes down `degrade_ladder`
-    /// instead of failing; EngineStats::degraded_supernodes counts them.
-    std::optional<std::chrono::steady_clock::time_point> soft_budget;
-    /// Degrade-ladder preset names (DecompFlowParams::degrade_ladder);
-    /// empty = {"paper", "shannon"}.
-    std::vector<std::string> degrade_ladder;
     /// Equivalence engine for the sign-off below.
     net::EquivEngine oracle = net::EquivEngine::kAuto;
-    /// Sign off each flow before returning (all four flows, not just BDS):
+    /// Sign off each flow before returning (all four flows):
     /// verify_synthesis_result proves input == optimized, then optimized
     /// == mapped netlist. Exact at any input width for every engine but
     /// kSim.
@@ -105,10 +62,10 @@ struct SynthesisResult {
 /// The library shared by all flows (paper SV-B1).
 [[nodiscard]] const mapping::CellLibrary& default_library();
 
-/// The cancellation and deadline checkpoint of FlowOptions: throws
+/// The cancellation and deadline checkpoint of every flow layer:
 /// decomp::FlowCancelled once `options.cancel` is set, then
 /// decomp::DeadlineExceeded once `options.deadline` has passed.
-void checkpoint(const FlowOptions& options);
+using decomp::checkpoint;
 
 /// The one sign-off of every flow (FlowOptions::verify, the service, the
 /// CLI), a chain of two exact checks with `options.oracle`: `input` ==
@@ -123,45 +80,45 @@ void checkpoint(const FlowOptions& options);
 void verify_synthesis_result(const net::Network& input, SynthesisResult& result,
                              const FlowOptions& options = {});
 
-/// Flow-name decoration for non-default presets ("BDS-MAJ" ->
-/// "BDS-MAJ(exact-aggressive)"); shared by the flows and the CLI so the
-/// two never drift.
-[[nodiscard]] std::string decorated_flow_name(std::string base,
-                                              const std::string& preset);
-
-/// The BDS flows honor FlowOptions (worker budget, strategy preset,
-/// cancellation); the result depends only on the preset. ABC and DC are
-/// serial and preset-independent. The int overloads keep the historical
-/// jobs-only call sites working.
+/// The four flows of Table II. Each signs itself off when
+/// `options.verify` is set. The BDS flows honor every decomposition knob;
+/// their result depends only on the preset and the engine/manager
+/// parameters, never on `jobs`. ABC and DC are serial and
+/// preset-independent; DC checkpoints (checkpoint(options)) between its
+/// candidates.
 [[nodiscard]] SynthesisResult flow_bdsmaj(const net::Network& input,
-                                          const FlowOptions& options);
+                                          const FlowOptions& options = {});
 [[nodiscard]] SynthesisResult flow_bdspga(const net::Network& input,
-                                          const FlowOptions& options);
-[[nodiscard]] SynthesisResult flow_bdsmaj(const net::Network& input, int jobs = 1);
-[[nodiscard]] SynthesisResult flow_bdspga(const net::Network& input, int jobs = 1);
-[[nodiscard]] SynthesisResult flow_abc(const net::Network& input);
-[[nodiscard]] SynthesisResult flow_dc(const net::Network& input);
+                                          const FlowOptions& options = {});
+[[nodiscard]] SynthesisResult flow_abc(const net::Network& input,
+                                       const FlowOptions& options = {});
+[[nodiscard]] SynthesisResult flow_dc(const net::Network& input,
+                                      const FlowOptions& options = {});
 
-/// All four, in Table II column order. `jobs` is the BDS flows' worker
-/// budget; the results are identical at any setting.
+/// All four, in Table II column order, with checkpoint(options) after each
+/// flow (the last one too: a run that overran inside DC or its sign-off
+/// never returns normally).
 [[nodiscard]] std::vector<SynthesisResult> run_all_flows(const net::Network& input,
-                                                         const FlowOptions& options);
-[[nodiscard]] std::vector<SynthesisResult> run_all_flows(const net::Network& input,
-                                                         int jobs = 1);
+                                                         const FlowOptions& options = {});
 
-/// Batched suite synthesis: run_all_flows over every input, fanned out
-/// across up to `jobs` runners on the shared process pool
-/// (runtime::global_pool(); 1 = serial on the calling thread, <= 0 = all
-/// hardware threads). Entry i of the result is run_all_flows(inputs[i])
-/// — networks are independent, so the outputs are identical at any job
-/// count; only wall-clock changes. This is what the Table I/II sweeps and
-/// the bench harness use to push whole benchmark suites through the
-/// pipeline concurrently. For an admission-controlled asynchronous
-/// version returning futures, see flows::SynthesisService
-/// (flows/service.hpp).
+/// One flow by name: "bdsmaj", "bdspga", "abc", "dc" (one result, followed
+/// by checkpoint(options)) or "all" (run_all_flows). Any other name throws
+/// std::invalid_argument.
+[[nodiscard]] std::vector<SynthesisResult> run_flow(const net::Network& input,
+                                                    const std::string& flow,
+                                                    const FlowOptions& options = {});
+
+/// Batched suite synthesis: entry i of the result is run_flow(inputs[i],
+/// flow, options), with checkpoint(options) before each circuit. A single
+/// input keeps the whole `options.jobs` budget for its supernodes; a
+/// larger suite fans the budget out across circuits on the shared process
+/// pool (runtime::global_pool()), each circuit running with jobs = 1.
+/// Networks are independent, so the outputs are identical at any budget;
+/// only wall-clock changes. This is what the Table I/II sweeps, the bench
+/// harness and flows::SynthesisService (flows/service.hpp, the
+/// admission-controlled asynchronous front door) run.
 [[nodiscard]] std::vector<std::vector<SynthesisResult>> run_suite(
-    const std::vector<net::Network>& inputs, int jobs = 1);
-[[nodiscard]] std::vector<std::vector<SynthesisResult>> run_suite(
-    const std::vector<net::Network>& inputs, const FlowOptions& options);
+    const std::vector<net::Network>& inputs, const FlowOptions& options = {},
+    const std::string& flow = "all");
 
 }  // namespace bdsmaj::flows

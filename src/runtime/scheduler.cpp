@@ -70,6 +70,8 @@ HelperSet::HelperSet(int count, const std::function<void(int)>& body)
     : state_(std::make_shared<State>()) {
     state_->slot.assign(static_cast<std::size_t>(std::max(count, 0)), State::kQueued);
     state_->body = &body;
+    // No helpers, no pool: a one-worker pipeline stays thread-free.
+    if (state_->slot.empty()) return;
     ThreadPool& pool = global_pool();
     for (std::size_t s = 0; s < state_->slot.size(); ++s) {
         pool.submit([st = state_, s] {

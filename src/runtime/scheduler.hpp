@@ -64,7 +64,8 @@ bool configure_global_pool(int threads);
 /// 0 and does the same work inline. join() revokes every helper that has
 /// not started yet (it will never run) and blocks until the started ones
 /// return. `body` must not throw and must stay valid until join() returns;
-/// the destructor joins if the caller did not.
+/// the destructor joins if the caller did not. A count of 0 never touches
+/// (or creates) the global pool.
 class HelperSet {
 public:
     HelperSet(int count, const std::function<void(int)>& body);

@@ -14,6 +14,7 @@
 
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "benchgen/suite.hpp"
@@ -271,6 +272,81 @@ TEST(ConeCache, PolarityFoldingUnifiesEquivalentCallSequences) {
     const ConeKey k7 = keys.build(ab, whole_network_supernode(ab),
                                   cone_cache_config_blob(other, bdd::ManagerParams{}, true));
     EXPECT_NE(k5.canonical, k7.canonical);
+}
+
+TEST(ConeCache, ConfigBlobCoversEveryKnob) {
+    // Every knob an emitted tape can depend on must move the config blob,
+    // or two configurations would silently share cached tapes. The
+    // structured bindings name every field of the parameter structs, so a
+    // new field stops this test from compiling until it joins the list.
+    [[maybe_unused]] const auto& [use_majority, maj, max_simple_candidates,
+                                  xor_acceptance_factor, preset, exact_max_support,
+                                  exact_sat_budget, exact_sat_max_steps, exact_min_saving,
+                                  exact_min_saving_wide, symmetric_max_support,
+                                  symmetric_min_saving] = EngineParams{};
+    [[maybe_unused]] const auto& [max_candidates, max_iterations, k_local, k_global,
+                                  min_then_fanin, min_else_fanin, use_restrict,
+                                  xor_params] = MajDecompParams{};
+    [[maybe_unused]] const auto& [max_var_candidates, max_growth] = XorDecompParams{};
+    [[maybe_unused]] const auto& [cache_size_log2, cache_max_size_log2, gc_dead_threshold,
+                                  sift_max_growth, sift_max_vars, sift_lower_bound,
+                                  sift_converge, sift_converge_ratio, sift_max_passes,
+                                  sift_symmetry, max_live_nodes,
+                                  sift_max_swaps] = bdd::ManagerParams{};
+
+    struct Knobs {
+        EngineParams engine;
+        bdd::ManagerParams manager;
+        bool reorder = true;
+    };
+    const std::vector<std::pair<const char*, void (*)(Knobs&)>> changes = {
+        {"use_majority", [](Knobs& k) { k.engine.use_majority = false; }},
+        {"maj.max_candidates", [](Knobs& k) { k.engine.maj.max_candidates += 1; }},
+        {"maj.max_iterations", [](Knobs& k) { k.engine.maj.max_iterations += 1; }},
+        {"maj.k_local", [](Knobs& k) { k.engine.maj.k_local += 0.25; }},
+        {"maj.k_global", [](Knobs& k) { k.engine.maj.k_global += 0.25; }},
+        {"maj.min_then_fanin", [](Knobs& k) { k.engine.maj.min_then_fanin += 1; }},
+        {"maj.min_else_fanin", [](Knobs& k) { k.engine.maj.min_else_fanin += 1; }},
+        {"maj.use_restrict", [](Knobs& k) { k.engine.maj.use_restrict = false; }},
+        {"maj.xor_params.max_var_candidates",
+         [](Knobs& k) { k.engine.maj.xor_params.max_var_candidates += 1; }},
+        {"maj.xor_params.max_growth",
+         [](Knobs& k) { k.engine.maj.xor_params.max_growth += 0.5; }},
+        {"max_simple_candidates", [](Knobs& k) { k.engine.max_simple_candidates += 1; }},
+        {"xor_acceptance_factor", [](Knobs& k) { k.engine.xor_acceptance_factor += 0.5; }},
+        {"preset", [](Knobs& k) { k.engine.preset = "exact-aggressive"; }},
+        {"exact_max_support", [](Knobs& k) { k.engine.exact_max_support = 4; }},
+        {"exact_sat_budget", [](Knobs& k) { k.engine.exact_sat_budget += 1; }},
+        {"exact_sat_max_steps", [](Knobs& k) { k.engine.exact_sat_max_steps += 1; }},
+        {"exact_min_saving", [](Knobs& k) { k.engine.exact_min_saving += 1; }},
+        {"exact_min_saving_wide", [](Knobs& k) { k.engine.exact_min_saving_wide += 1; }},
+        {"symmetric_max_support", [](Knobs& k) { k.engine.symmetric_max_support += 1; }},
+        {"symmetric_min_saving", [](Knobs& k) { k.engine.symmetric_min_saving += 1; }},
+        {"manager.cache_size_log2", [](Knobs& k) { k.manager.cache_size_log2 += 1; }},
+        {"manager.cache_max_size_log2", [](Knobs& k) { k.manager.cache_max_size_log2 += 1; }},
+        {"manager.gc_dead_threshold", [](Knobs& k) { k.manager.gc_dead_threshold += 1; }},
+        {"manager.sift_max_growth", [](Knobs& k) { k.manager.sift_max_growth += 0.25; }},
+        {"manager.sift_max_vars", [](Knobs& k) { k.manager.sift_max_vars += 1; }},
+        {"manager.sift_lower_bound",
+         [](Knobs& k) { k.manager.sift_lower_bound = !k.manager.sift_lower_bound; }},
+        {"manager.sift_converge",
+         [](Knobs& k) { k.manager.sift_converge = !k.manager.sift_converge; }},
+        {"manager.sift_converge_ratio", [](Knobs& k) { k.manager.sift_converge_ratio *= 2; }},
+        {"manager.sift_max_passes", [](Knobs& k) { k.manager.sift_max_passes += 1; }},
+        {"manager.sift_symmetry",
+         [](Knobs& k) { k.manager.sift_symmetry = !k.manager.sift_symmetry; }},
+        {"manager.max_live_nodes", [](Knobs& k) { k.manager.max_live_nodes += 1; }},
+        {"manager.sift_max_swaps", [](Knobs& k) { k.manager.sift_max_swaps += 1; }},
+        {"reorder", [](Knobs& k) { k.reorder = false; }},
+    };
+    const Knobs defaults;
+    const std::string base =
+        cone_cache_config_blob(defaults.engine, defaults.manager, defaults.reorder);
+    for (const auto& [name, change] : changes) {
+        Knobs k;
+        change(k);
+        EXPECT_NE(cone_cache_config_blob(k.engine, k.manager, k.reorder), base) << name;
+    }
 }
 
 TEST(ConeCache, SimHashCollisionCannotAliasEntries) {

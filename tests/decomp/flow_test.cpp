@@ -18,6 +18,13 @@ namespace {
 using net::Network;
 using net::NodeId;
 
+/// The BDS-PGA (Table I baseline) configuration: no majority stage.
+DecompFlowParams pga_params() {
+    DecompFlowParams params;
+    params.engine.use_majority = false;
+    return params;
+}
+
 Network ripple_adder(int bits) {
     Network net("rca" + std::to_string(bits));
     std::vector<NodeId> a, b;
@@ -58,8 +65,8 @@ Network random_control(int inputs, int outputs, int gates, std::uint64_t seed) {
 
 TEST(Flow, RippleAdderBothModesAreEquivalent) {
     const Network input = ripple_adder(4);
-    const DecompFlowResult maj = run_bdsmaj(input);
-    const DecompFlowResult pga = run_bdspga(input);
+    const DecompFlowResult maj = decompose_network(input);
+    const DecompFlowResult pga = decompose_network(input, pga_params());
     EXPECT_TRUE(net::check_equivalent(input, maj.network).equivalent);
     EXPECT_TRUE(net::check_equivalent(input, pga.network).equivalent);
     EXPECT_EQ(pga.network.stats().maj_nodes, 0) << "baseline must be MAJ-free";
@@ -70,8 +77,8 @@ TEST(Flow, RippleAdderBothModesAreEquivalent) {
 TEST(Flow, MajReducesNodeCountOnAdder) {
     // The headline Table I effect, on the canonical datapath circuit.
     const Network input = ripple_adder(8);
-    const DecompFlowResult maj = run_bdsmaj(input);
-    const DecompFlowResult pga = run_bdspga(input);
+    const DecompFlowResult maj = decompose_network(input);
+    const DecompFlowResult pga = decompose_network(input, pga_params());
     EXPECT_TRUE(net::check_equivalent(input, maj.network).equivalent);
     EXPECT_TRUE(net::check_equivalent(input, pga.network).equivalent);
     EXPECT_LT(maj.network.stats().total(), pga.network.stats().total());
@@ -80,8 +87,8 @@ TEST(Flow, MajReducesNodeCountOnAdder) {
 TEST(Flow, RandomControlNetworks) {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
         const Network input = random_control(8, 4, 40, seed);
-        const DecompFlowResult maj = run_bdsmaj(input);
-        const DecompFlowResult pga = run_bdspga(input);
+        const DecompFlowResult maj = decompose_network(input);
+        const DecompFlowResult pga = decompose_network(input, pga_params());
         ASSERT_TRUE(net::check_equivalent(input, maj.network).equivalent)
             << "seed " << seed;
         ASSERT_TRUE(net::check_equivalent(input, pga.network).equivalent)
@@ -98,7 +105,7 @@ TEST(Flow, SopNetworksFromBlif) {
         ".names t d f\n10 1\n01 1\n"
         ".names a d g\n11 1\n"
         ".end\n");
-    const DecompFlowResult r = run_bdsmaj(input);
+    const DecompFlowResult r = decompose_network(input);
     EXPECT_TRUE(net::check_equivalent(input, r.network).equivalent);
     EXPECT_EQ(r.network.stats().sop_nodes, 0) << "flow output is structured gates";
 }
@@ -119,7 +126,7 @@ TEST(Flow, WideNetworkRespectsPartitionBudget) {
         layer = std::move(next);
     }
     net.add_output("y", layer[0]);
-    const DecompFlowResult r = run_bdsmaj(net);
+    const DecompFlowResult r = decompose_network(net);
     EXPECT_GT(r.supernode_count, 1);
     // exhaustive_input_limit 0 forces the SAT engine: at 40 inputs this used to
     // silently fall back to random simulation; now it is an exact proof.
@@ -153,13 +160,13 @@ TEST(Flow, ConstantsAndWiresSurvive) {
     net.add_output("wire", a);
     net.add_output("const1", net.add_constant(true));
     net.add_output("notA", net.add_not(a));
-    const DecompFlowResult r = run_bdsmaj(net);
+    const DecompFlowResult r = decompose_network(net);
     EXPECT_TRUE(net::check_equivalent(net, r.network).equivalent);
 }
 
 TEST(Flow, StatsAreConsistent) {
     const Network input = ripple_adder(6);
-    const DecompFlowResult r = run_bdsmaj(input);
+    const DecompFlowResult r = decompose_network(input);
     const EngineStats& s = r.engine_stats;
     EXPECT_GE(s.maj_attempts, s.maj_steps);
     EXPECT_GT(r.supernode_count, 0);
@@ -173,7 +180,7 @@ TEST(Flow, XorIntensiveCircuitKeepsXorAlphabet) {
     NodeId acc = xs[0];
     for (int i = 1; i < 16; ++i) acc = net.add_xor(acc, xs[i]);
     net.add_output("p", acc);
-    const DecompFlowResult r = run_bdsmaj(net);
+    const DecompFlowResult r = decompose_network(net);
     EXPECT_TRUE(net::check_equivalent(net, r.network).equivalent);
     const auto s = r.network.stats();
     EXPECT_EQ(s.and_nodes + s.or_nodes, 0) << "parity stays XOR/XNOR-only";

@@ -13,6 +13,7 @@
 #include "decomp/flow.hpp"
 #include "network/blif.hpp"
 #include "network/simulate.hpp"
+#include "runtime/scheduler.hpp"
 
 namespace bdsmaj::decomp {
 namespace {
@@ -82,6 +83,16 @@ TEST(ParallelFlow, McncSuiteIsDeterministicAcrossJobCounts) {
                 << bc.name << ": output network drifted at jobs=" << jobs;
         }
     }
+}
+
+TEST(ParallelFlow, OneWorkerRunStaysOffThePool) {
+    // jobs = 1 runs the same pipeline with the caller as its only runner;
+    // it must not create the shared pool (configure_global_pool succeeds
+    // only while no pool exists).
+    if (!runtime::configure_global_pool(0)) GTEST_SKIP() << "the pool already exists";
+    const Network input = benchgen::benchmark_by_name("f51m", /*quick=*/true);
+    (void)decompose_network(input);
+    EXPECT_TRUE(runtime::configure_global_pool(0)) << "a jobs=1 run created the pool";
 }
 
 TEST(ParallelFlow, TightReplayWindowIsStillByteIdentical) {

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+
 #include "aig/convert.hpp"
 #include "aig/opt.hpp"
 #include "benchgen/arith.hpp"
@@ -162,6 +165,19 @@ TEST(Flows, ResultMetadataIsFilled) {
     EXPECT_GE(r.optimize_seconds, 0.0);
     EXPECT_EQ(r.optimized_stats.total(), r.optimized.stats().total());
     EXPECT_GT(r.engine_stats.maj_steps, 0);
+}
+
+TEST(Flows, DcProxyStopsAtItsCandidateCheckpoints) {
+    // The DC recipes are not interruptible themselves, but a raised token
+    // (or a passed deadline) stops the proxy between its candidates.
+    const Network input = benchgen::benchmark_by_name("f51m", /*quick=*/true);
+    const std::atomic<bool> cancelled{true};
+    FlowOptions options;
+    options.cancel = &cancelled;
+    EXPECT_THROW((void)flow_dc(input, options), decomp::FlowCancelled);
+    FlowOptions overdue;
+    overdue.deadline = std::chrono::steady_clock::now();
+    EXPECT_THROW((void)flow_dc(input, overdue), decomp::DeadlineExceeded);
 }
 
 TEST(Flows, FullWidthReciprocalSignsOffByExhaustiveSimulation) {

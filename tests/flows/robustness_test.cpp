@@ -34,7 +34,7 @@ Network tiny_adder() {
 TEST(Robustness, ImpossibleDeadlineIsShedWithoutRunning) {
     SynthesisService service(ServiceParams{.start_paused = true});
     SynthesisJobParams jp;
-    jp.deadline_ms = 1.0;
+    jp.deadline = std::chrono::steady_clock::now() + 1ms;
     SynthesisService::Submission sub = service.submit(tiny_adder(), jp);
     // Hold admission past the deadline, then release: the dispatcher must
     // shed the job instead of starting it.
@@ -66,7 +66,7 @@ TEST(Robustness, DeadlinedHeavyJobYieldsDeadlineExceeded) {
     const Network input = benchgen::benchmark_by_name("dalu", /*quick=*/true);
     SynthesisService service;
     SynthesisJobParams jp;
-    jp.deadline_ms = 20.0;
+    jp.deadline = std::chrono::steady_clock::now() + 20ms;
     SynthesisService::Submission sub = service.submit(input, jp);
     const FlowResult r = sub.result.get();
     EXPECT_EQ(r.status, JobStatus::kDeadlineExceeded);
@@ -110,8 +110,8 @@ TEST(Robustness, SingleFlowJobsNeverCompletePastTheirDeadline) {
     // stop with kDeadlineExceeded (between the two sign-off links, or at
     // the checkpoint after the flow), but if it completes, its body must
     // end before the deadline. The body's end is bounded from below by
-    // submission time plus FlowResult::seconds, so dispatch latency can
-    // only hide a late completion, never invent one.
+    // the time the deadline was set plus FlowResult::seconds, so dispatch
+    // latency can only hide a late completion, never invent one.
     using Clock = std::chrono::steady_clock;
     const Network input = benchgen::benchmark_by_name("SQRT 32 bit");
     FlowOptions verified;
@@ -126,19 +126,17 @@ TEST(Robustness, SingleFlowJobsNeverCompletePastTheirDeadline) {
         SynthesisJobParams jp;
         jp.flow = "bdsmaj";
         jp.verify = true;
-        jp.deadline_ms = job_ms - signoff_ms + into_signoff * signoff_ms;
         const auto before = Clock::now();
+        jp.deadline = before + std::chrono::duration_cast<Clock::duration>(
+                                   std::chrono::duration<double, std::milli>(
+                                       job_ms - signoff_ms + into_signoff * signoff_ms));
         SynthesisService::Submission sub = service.submit(input, jp);
-        const auto after = Clock::now();
         const FlowResult r = sub.result.get();
         if (r.status == JobStatus::kCompleted) {
             const auto body_end_at_least =
                 before + std::chrono::duration_cast<Clock::duration>(
                              std::chrono::duration<double>(r.seconds));
-            const auto deadline_at_most =
-                after + std::chrono::duration_cast<Clock::duration>(
-                            std::chrono::duration<double, std::milli>(jp.deadline_ms));
-            EXPECT_LE(body_end_at_least, deadline_at_most)
+            EXPECT_LE(body_end_at_least, *jp.deadline)
                 << "completed past a deadline " << into_signoff << " into sign-off";
         } else {
             EXPECT_EQ(r.status, JobStatus::kDeadlineExceeded);
@@ -151,7 +149,7 @@ TEST(Robustness, TightSoftBudgetDegradesButCompletesVerified) {
     SynthesisService service;
     SynthesisJobParams jp;
     jp.flow = "bdsmaj";
-    jp.soft_budget_ms = 0.01;  // expired before the job even dispatches
+    jp.soft_budget = std::chrono::steady_clock::now();  // expired before dispatch
     jp.verify = true;          // a wrong degraded network fails the job
     SynthesisService::Submission sub = service.submit(input, jp);
     const FlowResult r = sub.result.get();
@@ -232,9 +230,9 @@ TEST(Robustness, EarliestDeadlineFirstWithinLane) {
     SynthesisJobParams none;  // no deadline
     none.flow = "bdsmaj";
     SynthesisJobParams late = none;
-    late.deadline_ms = 60000.0;
+    late.deadline = std::chrono::steady_clock::now() + 60s;
     SynthesisJobParams soon = none;
-    soon.deadline_ms = 30000.0;
+    soon.deadline = std::chrono::steady_clock::now() + 30s;
 
     SynthesisService::Submission a = service.submit(input, none);
     SynthesisService::Submission b = service.submit(input, late);
@@ -264,7 +262,7 @@ TEST(Robustness, HighPriorityLaneStillBeatsEarlierDeadlinesInNormal) {
     const Network input = tiny_adder();
     SynthesisJobParams normal;
     normal.flow = "bdsmaj";
-    normal.deadline_ms = 30000.0;
+    normal.deadline = std::chrono::steady_clock::now() + 30s;
     SynthesisJobParams high;
     high.flow = "bdsmaj";
     high.priority = JobPriority::kHigh;

@@ -79,7 +79,7 @@ void expect_same_results(const std::vector<SynthesisResult>& serial,
 
 TEST(SynthesisService, SingleJobMatchesDirectRun) {
     const Network input = benchgen::benchmark_by_name("f51m", /*quick=*/true);
-    const std::vector<SynthesisResult> serial = run_all_flows(input, 1);
+    const std::vector<SynthesisResult> serial = run_all_flows(input);
 
     SynthesisService service;
     SynthesisJobParams jp;
@@ -100,7 +100,7 @@ TEST(SynthesisService, ConcurrentMcncSubmitsMatchSerialRuns) {
     const std::vector<Network> inputs = mcnc_inputs(6);
     std::vector<std::vector<SynthesisResult>> serial;
     serial.reserve(inputs.size());
-    for (const Network& input : inputs) serial.push_back(run_all_flows(input, 1));
+    for (const Network& input : inputs) serial.push_back(run_all_flows(input));
 
     runtime::ThreadPool pool(4);
     ServiceParams sp;
@@ -129,7 +129,7 @@ TEST(SynthesisService, ConcurrentMcncSubmitsMatchSerialRuns) {
 
 TEST(SynthesisService, SuiteJobMatchesRunSuite) {
     const std::vector<Network> inputs = mcnc_inputs(4);
-    const std::vector<std::vector<SynthesisResult>> serial = run_suite(inputs, 1);
+    const std::vector<std::vector<SynthesisResult>> serial = run_suite(inputs);
 
     SynthesisService service;
     SynthesisJobParams jp;
@@ -375,6 +375,29 @@ TEST(SynthesisService, DestructorRequestsStopOfRunningJobs) {
                 r.status == JobStatus::kCompleted);
 }
 
+TEST(SynthesisService, EngineTuningReachesJobs) {
+    // The knobs the CLI's --no-reorder/--k-local/--k-global/--iterations
+    // set live in the job parameters themselves, so a service job runs
+    // exactly the single-run flow with the same settings.
+    const Network input = benchgen::benchmark_by_name("alu2", /*quick=*/true);
+    SynthesisJobParams jp;
+    jp.flow = "bdsmaj";
+    jp.reorder = false;
+    jp.engine.maj.k_local = 2.0;
+    jp.engine.maj.k_global = 2.0;
+    jp.engine.maj.max_iterations = 3;
+    const SynthesisResult direct = run_flow(input, jp.flow, jp).at(0);
+    EXPECT_NE(net::write_blif(direct.optimized),
+              net::write_blif(flow_bdsmaj(input).optimized))
+        << "the tuning must change this circuit, or the test shows nothing";
+
+    SynthesisService service;
+    SynthesisService::Submission sub = service.submit(input, jp);
+    const FlowResult r = sub.result.get();
+    ASSERT_EQ(r.status, JobStatus::kCompleted);
+    ASSERT_EQ(net::write_blif(direct.optimized), net::write_blif(r.results.at(0).at(0).optimized));
+}
+
 TEST(SynthesisService, PresetJobsMatchDirectPresetRuns) {
     const Network input = benchgen::benchmark_by_name("f51m", /*quick=*/true);
     FlowOptions options;
@@ -401,7 +424,7 @@ TEST(SynthesisService, PresetJobsMatchDirectPresetRuns) {
 
 TEST(SynthesisService, StatsAggregateGateCounts) {
     const Network input = benchgen::benchmark_by_name("f51m", /*quick=*/true);
-    const std::vector<SynthesisResult> serial = run_all_flows(input, 1);
+    const std::vector<SynthesisResult> serial = run_all_flows(input);
     long expected_gates = 0;
     for (const SynthesisResult& r : serial) expected_gates += r.mapped.gate_count;
 

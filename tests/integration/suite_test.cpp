@@ -16,18 +16,25 @@
 namespace bdsmaj {
 namespace {
 
+/// The BDS-PGA (Table I baseline) configuration: no majority stage.
+decomp::DecompFlowParams pga_params() {
+    decomp::DecompFlowParams params;
+    params.engine.use_majority = false;
+    return params;
+}
+
 class SuiteTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SuiteTest, BdsMajFlowIsEquivalent) {
     const net::Network input = benchgen::benchmark_by_name(GetParam(), /*quick=*/true);
-    const decomp::DecompFlowResult r = decomp::run_bdsmaj(input);
+    const decomp::DecompFlowResult r = decomp::decompose_network(input);
     const auto eq = net::check_equivalent(input, r.network, 20, 64);
     EXPECT_TRUE(eq.equivalent) << GetParam() << ": " << eq.reason;
 }
 
 TEST_P(SuiteTest, BdsPgaFlowIsEquivalentAndMajFree) {
     const net::Network input = benchgen::benchmark_by_name(GetParam(), /*quick=*/true);
-    const decomp::DecompFlowResult r = decomp::run_bdspga(input);
+    const decomp::DecompFlowResult r = decomp::decompose_network(input, pga_params());
     const auto eq = net::check_equivalent(input, r.network, 20, 64);
     EXPECT_TRUE(eq.equivalent) << GetParam() << ": " << eq.reason;
     EXPECT_EQ(r.network.stats().maj_nodes, 0) << GetParam();
@@ -35,7 +42,7 @@ TEST_P(SuiteTest, BdsPgaFlowIsEquivalentAndMajFree) {
 
 TEST_P(SuiteTest, MappedNetlistIsEquivalent) {
     const net::Network input = benchgen::benchmark_by_name(GetParam(), /*quick=*/true);
-    const decomp::DecompFlowResult r = decomp::run_bdsmaj(input);
+    const decomp::DecompFlowResult r = decomp::decompose_network(input);
     const mapping::MappedResult mapped =
         mapping::map_network(r.network, flows::default_library());
     const auto eq = net::check_equivalent(input, mapped.netlist, 20, 64);
@@ -46,7 +53,7 @@ TEST_P(SuiteTest, MappedNetlistIsEquivalent) {
 
 TEST_P(SuiteTest, BlifRoundTripOfDecomposedNetwork) {
     const net::Network input = benchgen::benchmark_by_name(GetParam(), /*quick=*/true);
-    const decomp::DecompFlowResult r = decomp::run_bdsmaj(input);
+    const decomp::DecompFlowResult r = decomp::decompose_network(input);
     const net::Network again = net::parse_blif(net::write_blif(r.network));
     const auto eq = net::check_equivalent(r.network, again, 20, 64);
     EXPECT_TRUE(eq.equivalent) << GetParam() << ": " << eq.reason;
@@ -68,9 +75,9 @@ TEST(SuiteAggregate, MajReducesTotalNodesAcrossSuite) {
     // the whole suite must be well below BDS-PGA's.
     long maj_total = 0, pga_total = 0, maj_nodes = 0;
     for (const auto& bc : benchgen::table_suite(/*quick=*/true)) {
-        maj_total += decomp::run_bdsmaj(bc.network).network.stats().total();
-        pga_total += decomp::run_bdspga(bc.network).network.stats().total();
-        maj_nodes += decomp::run_bdsmaj(bc.network).network.stats().maj_nodes;
+        maj_total += decomp::decompose_network(bc.network).network.stats().total();
+        pga_total += decomp::decompose_network(bc.network, pga_params()).network.stats().total();
+        maj_nodes += decomp::decompose_network(bc.network).network.stats().maj_nodes;
     }
     EXPECT_LT(maj_total, pga_total);
     const double reduction =
@@ -84,7 +91,7 @@ TEST(SuiteAggregate, RuntimeStaysInteractive) {
     // whole decomposition suite must stay well under a minute.
     const auto start = std::chrono::steady_clock::now();
     for (const auto& bc : benchgen::table_suite(/*quick=*/true)) {
-        (void)decomp::run_bdsmaj(bc.network);
+        (void)decomp::decompose_network(bc.network);
     }
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();

@@ -98,7 +98,7 @@ TEST(SatEquivalence, DecomposedMcncCircuitsSignOffExactly) {
     // The real workload: decomposition results checked against their
     // inputs. alu2 and f51m are paper Table I circuits.
     for (const Network& input : {benchgen::make_alu2(), benchgen::make_f51m()}) {
-        const decomp::DecompFlowResult r = decomp::run_bdsmaj(input);
+        const decomp::DecompFlowResult r = decomp::decompose_network(input);
         CecStats stats;
         const EquivalenceResult eq = sat_equivalent(input, r.network, {}, &stats);
         EXPECT_TRUE(eq.equivalent) << input.model_name() << ": " << eq.reason;
@@ -147,7 +147,7 @@ TEST(SatEquivalence, MutationFuzzingCatchesSingleGateChanges) {
     // changes the function (confirmed independently by simulation), the
     // SAT oracle must refute with a valid counterexample.
     const Network input = benchgen::make_f51m();
-    const decomp::DecompFlowResult d = decomp::run_bdsmaj(input);
+    const decomp::DecompFlowResult d = decomp::decompose_network(input);
     std::mt19937_64 rng(0xf22);
     int refuted = 0, function_preserving = 0;
     for (int trial = 0; trial < 24; ++trial) {
@@ -207,7 +207,7 @@ TEST(SatEquivalence, SweepAgreesWithReferenceModeOnWideMutations) {
     // two widest arithmetic rows. SAT is called directly, without the
     // random pre-pass.
     for (const Network& input : {benchgen::make_c6288(), benchgen::make_mac(16)}) {
-        const decomp::DecompFlowResult d = decomp::run_bdsmaj(input);
+        const decomp::DecompFlowResult d = decomp::decompose_network(input);
         // Single-gate flips: simulation-visible ones must be refuted; the
         // reference must agree wherever it decides within its budget.
         std::mt19937_64 rng(0x6288);
@@ -246,8 +246,8 @@ TEST(SatEquivalence, StatsAccumulateAcrossChecks) {
     // One CecStats reused across the two checks of a sign-off must add
     // up to the two checks' separate counts — conflicts included.
     const Network input = benchgen::make_wallace_multiplier(8);
-    const decomp::DecompFlowResult d = decomp::run_bdsmaj(input);
-    const Network again = decomp::run_bdsmaj(d.network).network;
+    const decomp::DecompFlowResult d = decomp::decompose_network(input);
+    const Network again = decomp::decompose_network(d.network).network;
     CecStats first, second, reused;
     ASSERT_TRUE(sat_equivalent(input, d.network, {}, &first).equivalent);
     ASSERT_TRUE(sat_equivalent(input, again, {}, &second).equivalent);
@@ -277,7 +277,7 @@ TEST(SatEquivalence, IdenticalLogicMergesStructurally) {
 /// its optimized network and against `mutations` single-gate mutations of
 /// it, with every counterexample re-simulating.
 void expect_exhaustive_agrees_with_bdd(const Network& input, int mutations) {
-    const decomp::DecompFlowResult d = decomp::run_bdsmaj(input);
+    const decomp::DecompFlowResult d = decomp::decompose_network(input);
     std::mt19937_64 rng(0xe4a);
     std::vector<Network> candidates{d.network};
     for (int m = 0; m < mutations; ++m) candidates.push_back(mutate_one_gate(d.network, rng));
@@ -342,14 +342,14 @@ TEST(CheckEquivalent, WideCircuitsGetExactSatSignOffNotRandomDowngrade) {
     // produce an exact SAT proof.
     const Network input = benchgen::make_wallace_multiplier(8);  // 16 PIs
     const Network wide = benchgen::make_array_multiplier(16);    // 32 PIs
-    const decomp::DecompFlowResult d = decomp::run_bdsmaj(wide);
+    const decomp::DecompFlowResult d = decomp::decompose_network(wide);
     const EquivalenceResult r = check_equivalent(wide, d.network);
     EXPECT_TRUE(r.equivalent);
     EXPECT_TRUE(r.exact);
     EXPECT_EQ(r.engine, EquivEngine::kSat);
     // And a 16-input circuit is proven by exhaustive simulation under the
     // same defaults.
-    const decomp::DecompFlowResult ds = decomp::run_bdsmaj(input);
+    const decomp::DecompFlowResult ds = decomp::decompose_network(input);
     const EquivalenceResult rs = check_equivalent(input, ds.network);
     EXPECT_TRUE(rs.equivalent);
     EXPECT_EQ(rs.engine, EquivEngine::kExhaustive);
@@ -382,17 +382,6 @@ TEST(CheckEquivalent, BddRefutationCarriesCounterexampleToo) {
     ASSERT_EQ(r.counterexample.size(), 2u);
     EXPECT_EQ(r.failing_output, 0);
     EXPECT_NE(simulate(a, r.counterexample)[0], simulate(b, r.counterexample)[0]);
-}
-
-TEST(CheckEquivalent, FlowSelfCheckRecordsVerdict) {
-    decomp::DecompFlowParams params;
-    params.engine.use_majority = true;
-    params.self_check = true;
-    const decomp::DecompFlowResult r =
-        decomp::decompose_network(benchgen::make_f51m(), params);
-    ASSERT_TRUE(r.equivalence.has_value());
-    EXPECT_TRUE(r.equivalence->equivalent);
-    EXPECT_TRUE(r.equivalence->exact);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <functional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -82,6 +83,18 @@ TEST(HelperSet, JoinIsIdempotentAndDestructorJoins) {
     helpers.join();
     helpers.join();  // second join must return immediately
     SUCCEED();
+}
+
+TEST(HelperSet, ZeroHelpersNeverCreateThePool) {
+    // configure_global_pool succeeds only while the pool does not exist
+    // yet (and asking for the default sizing changes nothing).
+    if (!configure_global_pool(0)) GTEST_SKIP() << "the pool already exists";
+    int calls = 0;
+    const std::function<void(int)> body = [&calls](int) { ++calls; };
+    HelperSet helpers(0, body);
+    helpers.join();
+    EXPECT_EQ(calls, 0);
+    EXPECT_TRUE(configure_global_pool(0)) << "HelperSet(0) created the pool";
 }
 
 TEST(ParallelFor, CoversAllIndicesExactlyOnceOnSharedPool) {

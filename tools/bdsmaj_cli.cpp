@@ -1,84 +1,18 @@
-// bdsmaj command-line synthesis tool.
-//
-//   bdsmaj_cli [options] <input.blif | @benchmark-name>
-//
-//   --flow bdsmaj|bdspga|abc|dc   synthesis flow (default bdsmaj)
-//   --preset NAME                 decomposition strategy preset for the
-//                                 BDS flows ("paper" default; see
-//                                 --list-presets); works in --batch too
-//   --list-presets                print the preset catalog and exit
-//   --out FILE                    write the optimized network as BLIF
-//   --map-out FILE                write the mapped netlist as BLIF
-//   --no-maj                      shorthand for --flow bdspga
-//   --no-reorder                  skip per-supernode sifting
-//   --sift-symmetry               force symmetry-aware block sifting on
-//   --no-sift-symmetry            force it off (default: the preset decides)
-//   --sift-max-growth F           abort a sift direction past F x best size
-//   --sift-converge               repeat sift passes until <1% gain
-//   --sift-max-vars N             sift at most N variables per pass
-//   --k-local F / --k-global F    majority selection sizing factors
-//   --iterations N                balancing iteration limit
-//   --jobs N                      per-run worker budget (0 = all cores);
-//                                 output is identical at any setting
-//   --cone-cache-mb N             memory budget of the process-wide cone
-//                                 result cache (default 64); repeated cones
-//                                 replay cached tapes instead of being
-//                                 re-decomposed — results are identical
-//   --no-cone-cache               disable cone memoization entirely
-//   --exact-cache FILE            warm-start the exact-synthesis NPN cache
-//                                 from FILE at startup (tolerant: a missing
-//                                 or corrupt file loads nothing) and save
-//                                 the materialized classes back on exit
-//   --exact-max-support N         widest cone served exactly (<= 4 uses the
-//                                 enumerated classes, 5-6 the SAT backend)
-//   --exact-sat-budget N          conflict budget per SAT-synthesized class
-//   --exact-sat-steps N           longest SAT chain tried per class
-//   --help / -h                   the full option reference on stdout
-//   --quick                       reduced widths for @benchmarks
-//   --verify                      equivalence-check outputs (default on)
-//   --oracle auto|bdd|sat|sim     equivalence engine for --verify
-//                                 (default auto: simulation refutes, then
-//                                 exhaustive simulation proves up to 20
-//                                 inputs and the SAT sweep above; sim
-//                                 alone is not an exact sign-off)
-//   --quiet                       only print the summary line (suppresses
-//                                 the per-strategy engine step counts)
-//   --deadline-ms MS              hard deadline: a single run stops at the
-//                                 next checkpoint (exit status 4); a batch
-//                                 job is shed/stopped and reported, not
-//                                 failed
-//   --soft-budget-ms MS           soft budget: past it, remaining
-//                                 supernodes degrade down the ladder and
-//                                 the run still completes, verified
-//   --degrade-ladder A,B          comma-separated degrade preset ladder
-//                                 (default paper,shannon)
-//
-// Batch service mode (multiple inputs through flows::SynthesisService on
-// the shared process pool):
-//   --batch                       treat every positional arg as an input;
-//                                 submit each as one async service job and
-//                                 print results in submission order (also
-//                                 implied by giving more than one input).
-//                                 --flow additionally accepts "all" here
-//                                 (all four Table II flows per input) and
-//                                 --preset is carried per job; the engine
-//                                 tuning flags above are rejected — the
-//                                 service runs the default engine
-//   --pool N                      shared-pool thread count (otherwise the
-//                                 BDSMAJ_JOBS env var / all cores)
-//   --max-jobs N                  jobs admitted concurrently (default:
-//                                 pool size); --jobs is each job's budget
-//
-// `@name` uses a built-in generator from the paper's suite, e.g.
-// `bdsmaj_cli @C6288` or `bdsmaj_cli "@Div 18 bit"`, and batch mode mixes
-// them freely with BLIF files: `bdsmaj_cli --batch @C1355 @C6288 my.blif`.
+// bdsmaj command-line synthesis tool. The option reference is print_help()
+// below (`bdsmaj_cli --help`), rendered into docs/cli.md by
+// tools/gen_cli_docs.sh.
 
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "benchgen/suite.hpp"
@@ -96,42 +30,37 @@ namespace {
 using namespace bdsmaj;
 
 struct Options {
-    std::string flow = "bdsmaj";
-    std::string preset = "paper";
+    /// Every synthesis knob, in the struct the flows and the service take;
+    /// main() sets the CLI defaults (flow bdsmaj, sign-off on).
+    flows::SynthesisJobParams job;
     std::vector<std::string> inputs;
     std::optional<std::string> out;
     std::optional<std::string> map_out;
-    bool reorder = true;
     bool quick = false;
-    bool verify = true;
-    net::EquivEngine oracle = net::EquivEngine::kAuto;
     bool quiet = false;
     bool batch = false;
-    /// True when an engine tuning flag (--no-reorder, --k-local,
-    /// --k-global, --iterations) was given; the batch service path does
-    /// not carry these, so it must reject rather than silently drop them.
-    bool tuned = false;
-    int jobs = 1;
     int pool = 0;
     int max_jobs = 0;
-    bool cone_cache = true;
-    int cone_cache_mb = -1;  ///< -1 = keep the library default (64 MiB)
+    std::optional<int> cone_cache_mb;  ///< unset = the library default (64 MiB)
     std::optional<std::string> exact_cache_path;
-    /// Exact-cone effort (FlowOptions semantics: -1 = engine default).
-    int exact_max_support = -1;
-    long long exact_sat_budget = -1;
-    int exact_sat_max_steps = -1;
-    /// Symmetry-aware sifting tri-state (-1 = preset decides, 0/1 forced).
-    int sift_symmetry = -1;
-    /// Deadline / graceful-degradation knobs (<= 0 / empty = off).
+    /// --deadline-ms / --soft-budget-ms as given (<= 0 = off); arm() turns
+    /// them into the job's absolute instants when the run starts.
     double deadline_ms = 0.0;
     double soft_budget_ms = 0.0;
-    std::vector<std::string> degrade_ladder;
-    decomp::MajDecompParams maj;
-    /// Per-supernode BDD manager tuning (reordering budget). Carried by
-    /// the service too, so batch mode supports these flags.
-    bdd::ManagerParams manager;
 };
+
+/// `opt.job` with the relative deadline and soft budget measured from now.
+flows::SynthesisJobParams arm(const Options& opt) {
+    flows::SynthesisJobParams job = opt.job;
+    const auto now = std::chrono::steady_clock::now();
+    const auto after = [now](double ms) {
+        return now + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                         std::chrono::duration<double, std::milli>(ms));
+    };
+    if (opt.deadline_ms > 0) job.deadline = after(opt.deadline_ms);
+    if (opt.soft_budget_ms > 0) job.soft_budget = after(opt.soft_budget_ms);
+    return job;
+}
 
 /// The full option reference, printed by --help (stdout, exit 0). This
 /// text is the source of truth for docs/cli.md: tools/gen_cli_docs.sh
@@ -146,8 +75,7 @@ void print_help(std::FILE* to) {
         "  --flow bdsmaj|bdspga|abc|dc  synthesis flow (default bdsmaj); batch\n"
         "                               mode additionally accepts \"all\"\n"
         "  --preset NAME                decomposition strategy preset for the BDS\n"
-        "                               flows (default paper; see --list-presets);\n"
-        "                               works in --batch too\n"
+        "                               flows (default paper; see --list-presets)\n"
         "  --list-presets               print the preset catalog and exit\n"
         "  --no-maj                     shorthand for --flow bdspga\n"
         "\n"
@@ -222,7 +150,9 @@ void print_help(std::FILE* to) {
         "  --batch                      treat every positional arg as an input and\n"
         "                               submit each as one async service job (also\n"
         "                               implied by giving more than one input);\n"
-        "                               results print in submission order\n"
+        "                               every option above applies to each job\n"
+        "                               except --out/--map-out, and results print\n"
+        "                               in submission order\n"
         "  --pool N                     shared-pool thread count (otherwise the\n"
         "                               BDSMAJ_JOBS env var / all cores)\n"
         "  --max-jobs N                 jobs admitted concurrently (default: pool\n"
@@ -238,6 +168,25 @@ void print_help(std::FILE* to) {
 int usage() {
     print_help(stderr);
     return 2;
+}
+
+/// A command-line usage error: the message, then exit status 2.
+[[noreturn]] void usage_error(const std::string& message) {
+    std::fprintf(stderr, "%s\n", message.c_str());
+    std::exit(2);
+}
+
+/// `text` as a whole T (no trailing garbage, finite, >= `min`); anything
+/// else is a usage error naming `flag`.
+template <typename T>
+T parse_number(const std::string& flag, const char* text, T min) {
+    T value{};
+    const char* end = text + std::strlen(text);
+    const auto [ptr, ec] = std::from_chars(text, end, value);
+    if (ec != std::errc{} || ptr != end || !std::isfinite(double(value)) || value < min) {
+        usage_error("invalid value \"" + std::string(text) + "\" for " + flag);
+    }
+    return value;
 }
 
 int list_presets() {
@@ -370,13 +319,6 @@ int run_batch(const Options& opt) {
                              "batch mode\n");
         return 2;
     }
-    if (opt.tuned) {
-        std::fprintf(stderr,
-                     "--no-reorder/--k-local/--k-global/--iterations are not "
-                     "supported in batch mode (the service runs the default "
-                     "engine configuration); run inputs individually to tune\n");
-        return 2;
-    }
     if (opt.pool > 0) runtime::configure_global_pool(opt.pool);
 
     std::vector<net::Network> inputs;
@@ -393,23 +335,9 @@ int run_batch(const Options& opt) {
     flows::ServiceParams sp;
     sp.max_concurrent_jobs = opt.max_jobs;
     flows::SynthesisService service(sp);
-    flows::SynthesisJobParams jp;
-    jp.jobs = opt.jobs;
-    jp.flow = opt.flow;
-    jp.preset = opt.preset;
-    jp.manager = opt.manager;
-    jp.sift_symmetry = opt.sift_symmetry;
-    jp.exact_max_support = opt.exact_max_support;
-    jp.exact_sat_budget = opt.exact_sat_budget;
-    jp.exact_sat_max_steps = opt.exact_sat_max_steps;
-    jp.cone_cache = opt.cone_cache;
     // Verification runs inside the job (service-side): a failed sign-off
     // fails that job's future instead of handing out a wrong network.
-    jp.verify = opt.verify;
-    jp.oracle = opt.oracle;
-    jp.deadline_ms = opt.deadline_ms;
-    jp.soft_budget_ms = opt.soft_budget_ms;
-    jp.degrade_ladder = opt.degrade_ladder;
+    const flows::SynthesisJobParams jp = arm(opt);
 
     std::vector<flows::SynthesisService::Submission> submissions;
     submissions.reserve(inputs.size());
@@ -439,10 +367,10 @@ int run_batch(const Options& opt) {
             // already signed off each result; surface its verdict.
             for (const flows::SynthesisResult& sr : r.results.at(0)) {
                 const bool equivalent =
-                    !opt.verify ||
+                    !opt.job.verify ||
                     (sr.equivalence.has_value() && sr.equivalence->equivalent);
                 all_ok = all_ok && equivalent;
-                print_result(inputs[i], sr, r.seconds, opt.verify, equivalent,
+                print_result(inputs[i], sr, r.seconds, opt.job.verify, equivalent,
                              opt.quiet);
             }
         } catch (const std::exception& e) {
@@ -469,116 +397,78 @@ int run_batch(const Options& opt) {
 
 int main(int argc, char** argv) {
     Options opt;
+    flows::SynthesisJobParams& job = opt.job;
+    job.flow = "bdsmaj";
+    job.verify = true;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        const auto next = [&]() -> const char* {
-            return i + 1 < argc ? argv[++i] : nullptr;
+        // The option's value; a missing one is a usage error.
+        const auto value = [&]() -> const char* {
+            if (i + 1 >= argc) usage_error(arg + " needs a value");
+            return argv[++i];
         };
+        const auto number = [&]<typename T>(T min) { return parse_number<T>(arg, value(), min); };
         if (arg == "--help" || arg == "-h") {
             print_help(stdout);
             return 0;
         } else if (arg == "--flow") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.flow = v;
+            job.flow = value();
         } else if (arg == "--preset") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.preset = v;
+            job.preset = value();
         } else if (arg == "--list-presets") {
             return list_presets();
         } else if (arg == "--out") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.out = v;
+            opt.out = value();
         } else if (arg == "--map-out") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.map_out = v;
+            opt.map_out = value();
         } else if (arg == "--no-maj") {
-            opt.flow = "bdspga";
+            job.flow = "bdspga";
         } else if (arg == "--no-reorder") {
-            opt.reorder = false;
-            opt.tuned = true;
+            job.reorder = false;
         } else if (arg == "--sift-symmetry") {
-            opt.sift_symmetry = 1;
+            job.sift_symmetry = true;
         } else if (arg == "--no-sift-symmetry") {
-            opt.sift_symmetry = 0;
+            job.sift_symmetry = false;
         } else if (arg == "--sift-max-growth") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.manager.sift_max_growth = std::atof(v);
+            job.manager.sift_max_growth = number(0.0);
         } else if (arg == "--sift-converge") {
-            opt.manager.sift_converge = true;
+            job.manager.sift_converge = true;
         } else if (arg == "--sift-max-vars") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.manager.sift_max_vars = std::atoi(v);
+            job.manager.sift_max_vars = number(0);
         } else if (arg == "--k-local") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.maj.k_local = std::atof(v);
-            opt.tuned = true;
+            job.engine.maj.k_local = number(0.0);
         } else if (arg == "--k-global") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.maj.k_global = std::atof(v);
-            opt.tuned = true;
+            job.engine.maj.k_global = number(0.0);
         } else if (arg == "--iterations") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.maj.max_iterations = std::atoi(v);
-            opt.tuned = true;
+            job.engine.maj.max_iterations = number(0);
         } else if (arg == "--jobs") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.jobs = std::atoi(v);
+            job.jobs = number(std::numeric_limits<int>::lowest());
         } else if (arg == "--pool") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.pool = std::atoi(v);
+            opt.pool = number(0);
         } else if (arg == "--max-jobs") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.max_jobs = std::atoi(v);
+            opt.max_jobs = number(0);
         } else if (arg == "--cone-cache-mb") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.cone_cache_mb = std::atoi(v);
+            opt.cone_cache_mb = number(0);
         } else if (arg == "--no-cone-cache") {
-            opt.cone_cache = false;
+            job.cone_cache = false;
         } else if (arg == "--exact-cache") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.exact_cache_path = v;
+            opt.exact_cache_path = value();
         } else if (arg == "--exact-max-support") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.exact_max_support = std::atoi(v);
+            job.engine.exact_max_support = number(0);
         } else if (arg == "--exact-sat-budget") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.exact_sat_budget = std::atoll(v);
+            job.engine.exact_sat_budget = number(0LL);
         } else if (arg == "--exact-sat-steps") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.exact_sat_max_steps = std::atoi(v);
+            job.engine.exact_sat_max_steps = number(0);
         } else if (arg == "--deadline-ms") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.deadline_ms = std::atof(v);
+            opt.deadline_ms = number(std::numeric_limits<double>::lowest());
         } else if (arg == "--soft-budget-ms") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.soft_budget_ms = std::atof(v);
+            opt.soft_budget_ms = number(std::numeric_limits<double>::lowest());
         } else if (arg == "--degrade-ladder") {
-            const char* v = next();
-            if (v == nullptr) return usage();
-            opt.degrade_ladder.clear();
+            job.degrade_ladder.clear();
             std::string rung;
-            for (const char* p = v;; ++p) {
+            for (const char* p = value();; ++p) {
                 if (*p == ',' || *p == '\0') {
-                    if (!rung.empty()) opt.degrade_ladder.push_back(rung);
+                    if (!rung.empty()) job.degrade_ladder.push_back(rung);
                     rung.clear();
                     if (*p == '\0') break;
                 } else {
@@ -590,12 +480,10 @@ int main(int argc, char** argv) {
         } else if (arg == "--quick") {
             opt.quick = true;
         } else if (arg == "--no-verify") {
-            opt.verify = false;
+            job.verify = false;
         } else if (arg == "--oracle") {
-            const char* v = next();
-            if (v == nullptr) return usage();
             try {
-                opt.oracle = net::parse_equiv_engine(v);
+                job.oracle = net::parse_equiv_engine(value());
             } catch (const std::exception& e) {
                 std::fprintf(stderr, "%s\n", e.what());
                 return usage();
@@ -610,17 +498,24 @@ int main(int argc, char** argv) {
         }
     }
     if (opt.inputs.empty()) return usage();
-    if (!decomp::is_known_preset(opt.preset)) {
+    const bool batch = opt.batch || opt.inputs.size() > 1;
+    const bool comparator = job.flow == "abc" || job.flow == "dc";
+    if (job.flow != "bdsmaj" && job.flow != "bdspga" && !comparator &&
+        !(batch && job.flow == "all")) {
+        std::fprintf(stderr, "unknown flow %s\n", job.flow.c_str());
+        return usage();
+    }
+    if (!decomp::is_known_preset(job.preset)) {
         std::fprintf(stderr, "unknown preset \"%s\"; --list-presets shows the "
-                             "catalog\n", opt.preset.c_str());
+                             "catalog\n", job.preset.c_str());
         return 2;
     }
-    if (opt.preset != "paper" && (opt.flow == "abc" || opt.flow == "dc")) {
+    if (job.preset != "paper" && comparator) {
         std::fprintf(stderr, "--preset only applies to the BDS flows "
                              "(bdsmaj/bdspga/all)\n");
         return 2;
     }
-    for (const std::string& rung : opt.degrade_ladder) {
+    for (const std::string& rung : job.degrade_ladder) {
         if (!decomp::is_known_preset(rung)) {
             std::fprintf(stderr, "unknown preset \"%s\" in --degrade-ladder; "
                                  "--list-presets shows the catalog\n",
@@ -628,19 +523,18 @@ int main(int argc, char** argv) {
             return 2;
         }
     }
-    if ((opt.deadline_ms > 0 || opt.soft_budget_ms > 0 ||
-         !opt.degrade_ladder.empty()) &&
-        (opt.flow == "abc" || opt.flow == "dc")) {
+    if ((opt.deadline_ms > 0 || opt.soft_budget_ms > 0 || !job.degrade_ladder.empty()) &&
+        comparator) {
         std::fprintf(stderr, "--deadline-ms/--soft-budget-ms/--degrade-ladder "
                              "only apply to the BDS flows (bdsmaj/bdspga/all)\n");
         return 2;
     }
-    if (opt.cone_cache_mb >= 0) {
+    if (opt.cone_cache_mb) {
         decomp::ConeCache::instance().set_budget_bytes(
-            static_cast<std::size_t>(opt.cone_cache_mb) << 20);
+            static_cast<std::size_t>(*opt.cone_cache_mb) << 20);
     }
     load_exact_cache(opt);
-    if (opt.batch || opt.inputs.size() > 1) {
+    if (batch) {
         const int rc = run_batch(opt);
         save_exact_cache(opt);
         return rc;
@@ -655,86 +549,41 @@ int main(int argc, char** argv) {
         return 1;
     }
 
+    // The flow runs unverified so a mismatch still prints its summary
+    // line; the sign-off below is the one every flow runs.
+    flows::SynthesisJobParams run = arm(opt);
+    run.verify = false;
     flows::SynthesisResult result;
-    if (opt.flow == "abc") {
-        result = flows::flow_abc(input);
-    } else if (opt.flow == "dc") {
-        result = flows::flow_dc(input);
-    } else if (opt.flow == "bdsmaj" || opt.flow == "bdspga") {
-        decomp::DecompFlowParams params;
-        params.engine.use_majority = opt.flow == "bdsmaj";
-        params.engine.maj = opt.maj;
-        params.engine.preset = opt.preset;
-        if (opt.exact_max_support >= 0) {
-            params.engine.exact_max_support = opt.exact_max_support;
-        }
-        if (opt.exact_sat_budget >= 0) {
-            params.engine.exact_sat_budget = opt.exact_sat_budget;
-        }
-        if (opt.exact_sat_max_steps >= 0) {
-            params.engine.exact_sat_max_steps = opt.exact_sat_max_steps;
-        }
-        params.manager = opt.manager;
-        params.sift_symmetry = opt.sift_symmetry;
-        params.reorder = opt.reorder;
-        params.cone_cache = opt.cone_cache;
-        params.jobs = opt.jobs;
-        const auto t0 = std::chrono::steady_clock::now();
-        if (opt.deadline_ms > 0) {
-            params.deadline = t0 + std::chrono::duration_cast<
-                std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double, std::milli>(opt.deadline_ms));
-        }
-        if (opt.soft_budget_ms > 0) {
-            params.soft_budget = t0 + std::chrono::duration_cast<
-                std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double, std::milli>(opt.soft_budget_ms));
-        }
-        params.degrade_ladder = opt.degrade_ladder;
-        decomp::DecompFlowResult d;
-        try {
-            d = decomp::decompose_network(input, params);
-        } catch (const decomp::DeadlineExceeded&) {
-            std::fprintf(stderr, "%s: deadline exceeded (--deadline-ms %g); "
-                                 "no result produced\n",
-                         input.model_name().c_str(), opt.deadline_ms);
-            return 4;
-        }
-        result.flow_name = flows::decorated_flow_name(
-            opt.flow == "bdsmaj" ? "BDS-MAJ" : "BDS-PGA", opt.preset);
-        result.engine_stats = d.engine_stats;
-        result.optimized = std::move(d.network);
-        result.optimized_stats = result.optimized.stats();
-        result.optimize_seconds = d.seconds;
-        result.mapped = mapping::map_network(result.optimized, flows::default_library());
-    } else {
-        std::fprintf(stderr, "unknown flow %s\n", opt.flow.c_str());
-        return usage();
-    }
-
     bool equivalent = true;
-    if (opt.verify) {
-        flows::FlowOptions sign_off;
-        sign_off.oracle = opt.oracle;
-        try {
-            flows::verify_synthesis_result(input, result, sign_off);
-        } catch (const std::runtime_error&) {
-            // A mismatch leaves its verdict behind; anything else (an
-            // exhausted output miter) is not a verdict and propagates.
-            if (!result.equivalence || result.equivalence->equivalent) throw;
-            std::fprintf(stderr, "VERIFICATION FAILED (engine %s): %s\n",
-                         net::equiv_engine_name(result.equivalence->engine),
-                         result.equivalence->reason.c_str());
-            equivalent = false;
+    try {
+        result = flows::run_flow(input, run.flow, run).front();
+        if (job.verify) {
+            try {
+                flows::verify_synthesis_result(input, result, run);
+            } catch (const std::runtime_error&) {
+                // A mismatch leaves its verdict behind; anything else (a
+                // deadline between the links, an exhausted output miter)
+                // is not a verdict and propagates.
+                if (!result.equivalence || result.equivalence->equivalent) throw;
+                std::fprintf(stderr, "VERIFICATION FAILED (engine %s): %s\n",
+                             net::equiv_engine_name(result.equivalence->engine),
+                             result.equivalence->reason.c_str());
+                equivalent = false;
+            }
+            if (equivalent && !result.equivalence->exact) {
+                // Only the sim engine leaves a sampled verdict; make the
+                // weaker guarantee impossible to miss.
+                std::fprintf(stderr, "note: --oracle sim agreement is sampled, "
+                                     "not an exact sign-off\n");
+            }
         }
-        if (equivalent && !result.equivalence->exact) {
-            // Only the sim engine leaves a sampled verdict; make the
-            // weaker guarantee impossible to miss.
-            std::fprintf(stderr, "note: --oracle sim agreement is sampled, "
-                                 "not an exact sign-off\n");
-        }
+    } catch (const decomp::DeadlineExceeded&) {
+        std::fprintf(stderr, "%s: deadline exceeded (--deadline-ms %g); "
+                             "no result produced\n",
+                     input.model_name().c_str(), opt.deadline_ms);
+        return 4;
     }
-    print_result(input, result, result.optimize_seconds, opt.verify, equivalent,
+    print_result(input, result, result.optimize_seconds, job.verify, equivalent,
                  opt.quiet);
     if (!opt.quiet) print_cache_summary();
 

@@ -67,6 +67,14 @@ cmake --build build -j"$JOBS"
 echo "==> tier-1: ctest"
 (cd build && ctest --output-on-failure -j"$JOBS")
 
+echo "==> tier-1: benchmark worker builds against this API"
+# jobbench/worker.cpp links the core library through its own CMake
+# project; building it here turns an API change that breaks the benchmark
+# into a CI failure instead of a failed benchmark run.
+cmake -S jobbench -B build-jobbench -DCMAKE_BUILD_TYPE="$BUILD_TYPE" \
+      ${EXTRA_CMAKE_ARGS[@]+"${EXTRA_CMAKE_ARGS[@]}"} >/dev/null
+cmake --build build-jobbench -j"$JOBS" --target jobbench_worker
+
 echo "==> tier-1: shared-state suites in one process"
 # ctest runs every test in a fresh process, which hides tests that lean
 # on process-wide state (the exact-synthesis class cache, the wide-class
