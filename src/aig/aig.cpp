@@ -13,6 +13,48 @@ Lit Aig::add_input() {
     return make_lit(id, false);
 }
 
+namespace {
+
+std::size_t strash_hash(Lit a, Lit b) {
+    std::uint64_t h = ((static_cast<std::uint64_t>(a) << 32) | b) * 0x9e3779b97f4a7c15ULL;
+    return static_cast<std::size_t>(h ^ (h >> 32));
+}
+
+}  // namespace
+
+std::size_t Aig::strash_slot(Lit a, Lit b) const {
+    const std::size_t mask = strash_.size() - 1;
+    for (std::size_t i = strash_hash(a, b) & mask;; i = (i + 1) & mask) {
+        const NodeId id = strash_[i];
+        if (id == 0 || (nodes_[id].f0 == a && nodes_[id].f1 == b)) return i;
+    }
+}
+
+void Aig::strash_grow() {
+    std::vector<NodeId> old(std::max<std::size_t>(64, 2 * strash_.size()), 0);
+    old.swap(strash_);
+    for (const NodeId id : old) {
+        if (id != 0) strash_[strash_slot(nodes_[id].f0, nodes_[id].f1)] = id;
+    }
+}
+
+void Aig::strash_erase(NodeId n) {
+    // Backward-shift deletion: close the gap by moving up every later
+    // entry of the probe run whose home slot does not lie after the gap.
+    const std::size_t mask = strash_.size() - 1;
+    std::size_t gap = strash_slot(nodes_[n].f0, nodes_[n].f1);
+    assert(strash_[gap] == n);
+    for (std::size_t i = (gap + 1) & mask; strash_[i] != 0; i = (i + 1) & mask) {
+        const NodeId id = strash_[i];
+        const std::size_t home = strash_hash(nodes_[id].f0, nodes_[id].f1) & mask;
+        if (((i - home) & mask) >= ((i - gap) & mask)) {
+            strash_[gap] = id;
+            gap = i;
+        }
+    }
+    strash_[gap] = 0;
+}
+
 Lit Aig::land(Lit a, Lit b) {
     // Constant and duplicate folding.
     if (a == kLitFalse || b == kLitFalse) return kLitFalse;
@@ -21,13 +63,13 @@ Lit Aig::land(Lit a, Lit b) {
     if (a == b) return a;
     if (a == lit_not(b)) return kLitFalse;
     if (a > b) std::swap(a, b);
-    const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) | b;
-    if (const auto it = strash_.find(key); it != strash_.end()) {
-        return make_lit(it->second, false);
-    }
+    // Every node but the constant and the inputs is hashed.
+    if (2 * (nodes_.size() - inputs_.size()) > strash_.size()) strash_grow();
+    const std::size_t slot = strash_slot(a, b);
+    if (strash_[slot] != 0) return make_lit(strash_[slot], false);
     nodes_.push_back(Node{a, b});
     const auto id = static_cast<NodeId>(nodes_.size() - 1);
-    strash_.emplace(key, id);
+    strash_[slot] = id;
     return make_lit(id, false);
 }
 
@@ -119,11 +161,9 @@ std::vector<std::uint64_t> Aig::simulate_words(
 
 void Aig::truncate(std::size_t marked_size) {
     assert(marked_size >= 1 && marked_size <= nodes_.size());
-    for (std::size_t n = marked_size; n < nodes_.size(); ++n) {
+    for (std::size_t n = nodes_.size(); n-- > marked_size;) {
         assert(is_and(static_cast<NodeId>(n)) && "only ANDs may be rolled back");
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(nodes_[n].f0) << 32) | nodes_[n].f1;
-        strash_.erase(key);
+        strash_erase(static_cast<NodeId>(n));
     }
     nodes_.resize(marked_size);
 }

@@ -4,8 +4,8 @@
 // ABC mapper). Node 0 is constant false; literals are (node << 1) |
 // complement, so negation is free.
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "tt/truth_table.hpp"
@@ -86,10 +86,20 @@ private:
         Lit f1 = kLitInvalid;
     };
 
+    /// The slot of strash_ that holds the AND (a, b), a < b, or the empty
+    /// slot where it would go.
+    [[nodiscard]] std::size_t strash_slot(Lit a, Lit b) const;
+    void strash_grow();
+    void strash_erase(NodeId n);
+
     std::vector<Node> nodes_;
     std::vector<NodeId> inputs_;
     std::vector<Lit> outputs_;
-    std::unordered_map<std::uint64_t, NodeId> strash_;
+    /// Structural hash of the AND nodes: linear probing over node ids
+    /// (0 = empty; node 0 is the constant), power-of-two size, at most
+    /// half full. One flat array, so trial builds and their rollback
+    /// allocate nothing per node.
+    std::vector<NodeId> strash_;
 };
 
 }  // namespace bdsmaj::aig

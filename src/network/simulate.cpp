@@ -186,25 +186,33 @@ EquivalenceResult random_equivalent(const Network& a, const Network& b, int roun
     if (a.outputs().size() != b.outputs().size()) {
         return shape_mismatch("output counts differ", EquivEngine::kSim);
     }
+    // Rounds run 64 at a time, one word per round: round r of a batch is
+    // word r of every node. The stimulus is drawn round by round, input
+    // by input, and the scan goes round, output, bit, so the first
+    // counterexample is the one a round-at-a-time loop would find.
+    constexpr int kBatchRounds = 64;
     std::mt19937_64 rng(seed);
-    std::vector<std::uint64_t> stimulus(a.inputs().size());
-    // Hoisted out of the round loop: the topological orders and the value
-    // buffers; outputs are compared in place.
+    const std::size_t n = a.inputs().size();
     const std::vector<NodeId> order_a = a.topo_order();
     const std::vector<NodeId> order_b = b.topo_order();
-    std::vector<std::uint64_t> value_a, value_b, scratch;
-    for (int round = 0; round < rounds; ++round) {
-        for (auto& w : stimulus) w = rng();
-        simulate_words_into(a, order_a, stimulus, value_a, scratch);
-        simulate_words_into(b, order_b, stimulus, value_b, scratch);
-        for (std::size_t o = 0; o < a.outputs().size(); ++o) {
-            const std::uint64_t diff = value_a[a.outputs()[o].driver] ^
-                                       value_b[b.outputs()[o].driver];
-            if (diff != 0) {
+    std::vector<std::uint64_t> stimulus, value_a, value_b, scratch;
+    for (int first = 0; first < rounds; first += kBatchRounds) {
+        const auto words = static_cast<std::size_t>(std::min(kBatchRounds, rounds - first));
+        stimulus.resize(n * words);
+        for (std::size_t w = 0; w < words; ++w) {
+            for (std::size_t i = 0; i < n; ++i) stimulus[i * words + w] = rng();
+        }
+        simulate_words_into(a, order_a, stimulus, value_a, scratch, words);
+        simulate_words_into(b, order_b, stimulus, value_b, scratch, words);
+        for (std::size_t w = 0; w < words; ++w) {
+            for (std::size_t o = 0; o < a.outputs().size(); ++o) {
+                const std::uint64_t diff = value_a[a.outputs()[o].driver * words + w] ^
+                                           value_b[b.outputs()[o].driver * words + w];
+                if (diff == 0) continue;
                 const int bit = std::countr_zero(diff);
-                std::vector<bool> pattern(stimulus.size());
-                for (std::size_t i = 0; i < stimulus.size(); ++i) {
-                    pattern[i] = ((stimulus[i] >> bit) & 1) != 0;
+                std::vector<bool> pattern(n);
+                for (std::size_t i = 0; i < n; ++i) {
+                    pattern[i] = ((stimulus[i * words + w] >> bit) & 1) != 0;
                 }
                 return verified_counterexample(a, b, static_cast<int>(o),
                                                std::move(pattern), "simulation",
