@@ -134,9 +134,10 @@ struct CompiledCutStoreStats {
 /// get() compiles into the caller's spill buffer instead.
 class CompiledCutStore {
 public:
-    /// Byte budget of the process-wide store: 1.5x the ~5 MiB that the
-    /// distinct cut functions of a long batch of comparator jobs take.
-    static constexpr std::size_t kSharedBudgetBytes = std::size_t{8} << 20;
+    /// Byte budget of the process-wide store: 1.5x the 4 MiB that the
+    /// 27,000 distinct cut functions of the batch benchmark's ABC and DC
+    /// jobs take.
+    static constexpr std::size_t kSharedBudgetBytes = std::size_t{6} << 20;
 
     explicit CompiledCutStore(std::size_t budget_bytes);
     ~CompiledCutStore();

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
+#include <utility>
 
 namespace bdsmaj::aig {
 namespace {
@@ -90,6 +92,50 @@ TEST(Aig, MarkAndTruncateRollBackTrialNodes) {
     EXPECT_EQ(lit_node(again), lit_node(trial)) << "slot is reused";
     // And the kept node is still hashed.
     EXPECT_EQ(aig.land(a, b), keep);
+}
+
+TEST(Aig, StrashMatchesAReferenceMapThroughRollbacks) {
+    // Random trial builds and rollbacks, as the rewriter makes them, must
+    // hash exactly like a plain map from fanin pair to node.
+    std::mt19937_64 rng(99);
+    Aig aig;
+    std::map<std::pair<Lit, Lit>, NodeId> reference;
+    std::vector<Lit> pool;
+    for (int i = 0; i < 12; ++i) pool.push_back(aig.add_input());
+    const std::size_t inputs_end = aig.mark();
+    for (int round = 0; round < 400; ++round) {
+        const std::size_t marked = aig.mark();
+        const int steps = 1 + static_cast<int>(rng() % 40);
+        for (int s = 0; s < steps; ++s) {
+            // Mostly keep to recent nodes so that existing pairs recur.
+            const auto pick = [&] {
+                const std::size_t span = std::min<std::size_t>(pool.size(), 24);
+                return pool[pool.size() - 1 - rng() % span] ^ static_cast<Lit>(rng() & 1);
+            };
+            Lit a = pick();
+            Lit b = pick();
+            if (lit_node(a) == lit_node(b)) continue;
+            if (a > b) std::swap(a, b);
+            const auto known = reference.find({a, b});
+            const Lit got = aig.land(a, b);
+            if (known != reference.end()) {
+                ASSERT_EQ(got, make_lit(known->second, false)) << "round " << round;
+            } else {
+                ASSERT_EQ(lit_node(got), aig.mark() - 1) << "round " << round;
+                reference.emplace(std::make_pair(a, b), lit_node(got));
+                pool.push_back(got);
+            }
+        }
+        if (rng() % 3 != 0) {  // roll the trial back
+            aig.truncate(marked);
+            std::erase_if(reference, [&](const auto& e) { return e.second >= marked; });
+            std::erase_if(pool, [&](Lit l) { return lit_node(l) >= marked; });
+        }
+    }
+    EXPECT_GT(aig.mark(), inputs_end + 200) << "the table grew past its first size";
+    for (const auto& [fanins, node] : reference) {
+        EXPECT_EQ(aig.land(fanins.first, fanins.second), make_lit(node, false));
+    }
 }
 
 TEST(Aig, ReachabilityIgnoresDanglingNodes) {

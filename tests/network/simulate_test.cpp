@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <random>
+#include <utility>
 
 namespace bdsmaj::net {
 namespace {
@@ -228,6 +230,61 @@ TEST(Exhaustive, ShapeMismatchAndWidthLimit) {
     Network wide;
     for (int i = 0; i < 41; ++i) wide.add_input("x" + std::to_string(i));
     EXPECT_THROW((void)exhaustive_equivalent(wide, wide), std::invalid_argument);
+}
+
+/// random_equivalent one round at a time: the failing output and the
+/// counterexample of the first differing round, output and bit.
+std::pair<int, std::vector<bool>> first_difference_round_by_round(const Network& a,
+                                                                  const Network& b,
+                                                                  int rounds,
+                                                                  std::uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    std::vector<std::uint64_t> stimulus(a.inputs().size());
+    for (int round = 0; round < rounds; ++round) {
+        for (auto& w : stimulus) w = rng();
+        const std::vector<std::uint64_t> va = simulate_words(a, stimulus);
+        const std::vector<std::uint64_t> vb = simulate_words(b, stimulus);
+        for (std::size_t o = 0; o < va.size(); ++o) {
+            if (va[o] == vb[o]) continue;
+            const int bit = std::countr_zero(va[o] ^ vb[o]);
+            std::vector<bool> pattern;
+            for (const std::uint64_t w : stimulus) pattern.push_back(((w >> bit) & 1) != 0);
+            return {static_cast<int>(o), pattern};
+        }
+    }
+    return {-1, {}};
+}
+
+TEST(Equivalence, BatchedRandomRoundsFindTheRoundByRoundWitness) {
+    // Two outputs that differ rarely (2^-12 and 2^-14 of the patterns), so
+    // first differences land in different rounds, batches and outputs.
+    const auto build = [](bool mutated) {
+        Network net;
+        std::vector<NodeId> x;
+        for (int i = 0; i < 16; ++i) x.push_back(net.add_input("x" + std::to_string(i)));
+        NodeId all12 = x[0];
+        for (int i = 1; i < 12; ++i) all12 = net.add_and(all12, x[i]);
+        const NodeId all14 = net.add_and(net.add_and(all12, x[12]), x[13]);
+        const NodeId parity = net.add_xor(x[14], x[15]);
+        net.add_output("f", mutated ? net.add_and(all12, net.add_not(all14)) : all12);
+        net.add_output("g", mutated ? net.add_xor(parity, all12) : parity);
+        return net;
+    };
+    const Network a = build(false);
+    const Network b = build(true);
+    int outputs_seen = 0;
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        for (const int rounds : {1, 63, 64, 65, 150}) {
+            const auto [output, pattern] = first_difference_round_by_round(a, b, rounds, seed);
+            const EquivalenceResult r = random_equivalent(a, b, rounds, seed);
+            ASSERT_EQ(r.equivalent, output < 0) << "seed " << seed << " rounds " << rounds;
+            if (output < 0) continue;
+            EXPECT_EQ(r.failing_output, output) << "seed " << seed << " rounds " << rounds;
+            EXPECT_EQ(r.counterexample, pattern) << "seed " << seed << " rounds " << rounds;
+            outputs_seen |= 1 << output;
+        }
+    }
+    EXPECT_EQ(outputs_seen, 3) << "both outputs fail first for some seed";
 }
 
 TEST(Equivalence, ShapeMismatchesAreReported) {

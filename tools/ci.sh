@@ -21,8 +21,9 @@
 #
 # The suites that share process-wide state (exact-synthesis cache
 # persistence, exact SAT synthesis, the SAT solver and its pinned
-# trajectories) also run in one gtest process after ctest, so a test that
-# only passes in a fresh process fails here.
+# trajectories, cut rewriting and its compiled-cut store) also run in one
+# gtest process after ctest, so a test that only passes in a fresh
+# process fails here.
 #
 # The chaos stage rebuilds the core with the deterministic fault-injection
 # hooks compiled in (-DBDSMAJ_FAULT_INJECT=ON) under AddressSanitizer and
@@ -78,10 +79,10 @@ cmake --build build-jobbench -j"$JOBS" --target jobbench_worker
 echo "==> tier-1: shared-state suites in one process"
 # ctest runs every test in a fresh process, which hides tests that lean
 # on process-wide state (the exact-synthesis class cache, the wide-class
-# cache the StrategyWide counters read, the solver's pinned trajectories)
-# left behind by an earlier test. Run those suites back to back in a
-# single process as well.
-./build/bdsmaj_tests --gtest_filter='ExactPersist*:ExactSat*:Solver*:SolverTrajectory*:StrategyWide*'
+# cache the StrategyWide counters read, the solver's pinned trajectories,
+# the rewriter's compiled-cut store) left behind by an earlier test. Run
+# those suites back to back in a single process as well.
+./build/bdsmaj_tests --gtest_filter='ExactPersist*:ExactSat*:Solver*:SolverTrajectory*:StrategyWide*:Rewrite*:Resyn2*:CompileCutFunction*'
 
 echo "==> docs: CLI reference drift check"
 # docs/cli.md is generated from the binary's own --help/--list-presets
