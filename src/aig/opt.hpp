@@ -24,9 +24,9 @@
 // Compiled programs live in one process-wide CompiledCutStore keyed on
 // (table, leaf count): datapath circuits repeat the same cut functions
 // thousands of times, within a pass and across the ABC and DC flows of
-// every job. The store keeps programs packed (4-byte steps, literals
-// folded into the operands) under a fixed byte budget and then stops
-// inserting, so it never evicts and its handles never dangle
+// every job. The store keeps programs packed (16- or 32-bit steps,
+// literals folded into the operands) under a fixed byte budget and then
+// stops inserting, so it never evicts and its handles never dangle
 // (docs/performance.md, "AIG comparator flows").
 
 #include <array>
