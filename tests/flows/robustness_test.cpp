@@ -63,8 +63,8 @@ TEST(Robustness, DeadlinedHeavyJobYieldsDeadlineExceeded) {
     // A deadline far shorter than the job: whether it is shed at dispatch
     // or stopped at an in-flight checkpoint (both are legal depending on
     // scheduling), the future must yield kDeadlineExceeded with no results.
-    // All four flows on quick MAC 16 take ~90 ms on a 2026 x86 core, over
-    // 4x the deadline.
+    // All four flows on quick MAC 16 take ~90 ms on a 4-thread Intel Xeon,
+    // over 4x the deadline.
     const Network input = benchgen::benchmark_by_name("MAC 16 bit", /*quick=*/true);
     SynthesisService service;
     SynthesisJobParams jp;
