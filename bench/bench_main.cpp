@@ -60,12 +60,13 @@
 //                  per circuit).
 //                  tools/ci.sh fails on verdict drift and on a >tolerance
 //                  SAT wall-time regression.
-//   * exact_sat  — SAT-based exact synthesis of 5-6 input cones: direct
+//   * exact_sat  — exact synthesis of 5-6 input cones: direct
 //                  exact_sat_synthesize calls on a named deterministic
 //                  suite (MAJ-5, parity, a 4:1 MUX) plus seeded
 //                  structured-random 5-var cones and one uniform-random
-//                  function that deterministically exhausts the default
-//                  conflict budget (the clean-fallback path). Verdict,
+//                  function. Chains of up to four steps are decided
+//                  without conflicts; parity-6 (five steps) runs the CDCL
+//                  search. Verdict,
 //                  gate count, and conflict total are pure functions of
 //                  (tt, n, params), so the whole block fingerprints;
 //                  tools/ci.sh fails on any drift and on a fallback-rate
@@ -951,8 +952,7 @@ std::uint64_t mux41_tt() {
 /// AND/OR/XOR fold over all five — the representative case for cones the
 /// strategy pipeline extracts (mirrors the generator in
 /// tests/decomp/exact_sat_test.cpp; uniform random 5-var functions
-/// usually need 5+ steps and exhaust any sane budget on the intermediate
-/// UNSAT proofs).
+/// usually need 5+ steps).
 std::uint64_t bench_structured_tt5(std::mt19937_64& rng) {
     constexpr std::uint64_t kMask = 0xffffffffULL;
     const std::uint64_t lits[5] = {0xaaaaaaaaULL, 0xccccccccULL, 0xf0f0f0f0ULL,
@@ -1021,9 +1021,9 @@ ExactSatBenchResult bench_exact_sat() {
         cases.push_back(
             {"structured" + std::to_string(i), bench_structured_tt5(rng), 5});
     }
-    // One uniform-random 5-var function: at the default conflict budget
-    // this deterministically exhausts mid-search — the clean kUnknown
-    // fallback the strategy pipeline degrades through on hard cones.
+    // One uniform-random 5-var function. Its shortest chain has four
+    // steps, which the decider finds without conflicts; the CDCL search
+    // alone exhausts the default budget before reaching it.
     cases.push_back({"uniform0", rng() & 0xffffffffULL, 5});
 
     ExactSatBenchResult out;

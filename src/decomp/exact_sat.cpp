@@ -8,21 +8,15 @@
 #include <unordered_map>
 #include <vector>
 
+#include "decomp/exact_decide.hpp"
 #include "sat/solver.hpp"
 
 namespace bdsmaj::decomp {
 
 namespace {
 
-// Truth tables of the canonical-space input literals over 64 bits.
-constexpr std::uint64_t kLitW[6] = {
-    0xaaaaaaaaaaaaaaaaULL, 0xccccccccccccccccULL, 0xf0f0f0f0f0f0f0f0ULL,
-    0xff00ff00ff00ff00ULL, 0xffff0000ffff0000ULL, 0xffffffff00000000ULL,
-};
-
-std::uint64_t wide_mask(int n) {
-    return n >= 6 ? ~0ULL : ((1ULL << (1u << n)) - 1);
-}
+using detail::kInputTt;
+using detail::tt_mask;
 
 // ---------------------------------------------------------------------------
 // Operator alphabet: the distinct normal 8-bit tables one gate of
@@ -241,7 +235,7 @@ public:
         std::uint64_t tt = 0;
     };
     [[nodiscard]] Decoded decode() const {
-        const std::uint64_t mask = wide_mask(n_);
+        const std::uint64_t mask = tt_mask(n_);
         Decoded d;
         std::vector<std::uint64_t> step_tt;
         for (const StepVars& sv : steps_) {
@@ -262,7 +256,7 @@ public:
             assert(chosen < sv.triples.size() && "at-least-one clause");
             const Triple tr = sv.triples[chosen];
             const auto operand_tt = [&](int x) {
-                return x < n_ ? (kLitW[x] & mask)
+                return x < n_ ? (kInputTt[x] & mask)
                               : step_tt[static_cast<std::size_t>(x - n_)];
             };
             const std::uint64_t a = operand_tt(tr.j);
@@ -459,10 +453,10 @@ std::shared_ptr<const WideStructure> build_structure(
 
 /// Support of `tt` over n variables: which inputs it actually depends on.
 int support_size_of(std::uint64_t tt, int n) {
-    const std::uint64_t mask = wide_mask(n);
+    const std::uint64_t mask = tt_mask(n);
     int count = 0;
     for (int v = 0; v < n; ++v) {
-        const std::uint64_t mv = kLitW[v];
+        const std::uint64_t mv = kInputTt[v];
         const int shift = 1 << v;
         const std::uint64_t flipped =
             (((tt & mv) >> shift) | ((tt & ~mv) << shift)) & mask;
@@ -478,9 +472,12 @@ int support_size_of(std::uint64_t tt, int n) {
 class SatSynthesizer {
 public:
     SatSynthesizer(std::uint64_t tt, int n, const ExactSatParams& params)
-        : tt_(tt), n_(n), params_(params), mask_(wide_mask(n)) {}
+        : tt_(tt), n_(n), params_(params), mask_(tt_mask(n)) {}
 
-    ExactSatResult run() {
+    /// Chain lengths below `first_length` are skipped. With
+    /// `decide_short`, lengths up to detail::kDecidedSteps are decided by
+    /// construction (no conflicts) and CDCL starts above them.
+    ExactSatResult run(int first_length, bool decide_short) {
         ExactSatResult res;
         const bool out_compl = (tt_ & 1) != 0;
         const std::uint64_t g = out_compl ? (~tt_ & mask_) : tt_;
@@ -498,7 +495,7 @@ public:
             return res;
         }
         for (int v = 0; v < n_; ++v) {
-            if (g != (kLitW[v] & mask_)) continue;
+            if (g != (kInputTt[v] & mask_)) continue;
             auto s = std::make_shared<WideStructure>();
             s->canonical = tt_;
             s->num_inputs = static_cast<std::uint8_t>(n_);
@@ -516,12 +513,40 @@ public:
             finish(res, ExactSatStatus::kUnknown);
             return res;
         }
+        int first = std::max(r_min, first_length);
+
+        if (decide_short) {
+            detail::ShortChainDecider decider(g, n_);
+            const int decided_end = std::min(params_.max_steps, detail::kDecidedSteps);
+            for (int r = first; r <= decided_end; ++r) {
+                res.steps_tried = r;
+                const std::optional<std::vector<detail::NormalStep>> chain = decider.find(r);
+                if (!chain) continue;
+                ChainEncoding::Decoded d;
+                for (const detail::NormalStep& step : *chain) {
+                    d.h.push_back(step.table);
+                    d.triple.push_back(
+                        Triple{step.operand[0], step.operand[1], step.operand[2]});
+                }
+                res.structure = build_structure(d, tt_, n_, out_compl);
+                // Validated like a decoded model: nothing unproven is served.
+                finish(res, res.structure->eval_tt() == tt_ ? ExactSatStatus::kFound
+                                                            : ExactSatStatus::kUnknown);
+                if (res.status != ExactSatStatus::kFound) res.structure.reset();
+                return res;
+            }
+            if (params_.max_steps <= detail::kDecidedSteps) {
+                finish(res, ExactSatStatus::kUnsat);
+                return res;
+            }
+            first = std::max(first, detail::kDecidedSteps + 1);
+        }
 
         // Flat incremental phase.
         ChainEncoding flat(g, n_);
         const int flat_end =
             std::min(params_.max_steps, params_.fence_min_steps - 1);
-        for (int r = r_min; r <= flat_end; ++r) {
+        for (int r = first; r <= flat_end; ++r) {
             res.steps_tried = r;
             while (flat.num_steps() < r) {
                 flat.add_step(full_triples(n_ + flat.num_steps()));
@@ -563,7 +588,7 @@ public:
         retired_stats_ += flat.solver().stats();
 
         // Fence phase: per-(r, fence) solvers over restricted triples.
-        for (int r = std::max(r_min, params_.fence_min_steps);
+        for (int r = std::max(first, params_.fence_min_steps);
              r <= params_.max_steps; ++r) {
             res.steps_tried = r;
             for (const std::vector<int>& fence : compositions(r)) {
@@ -717,10 +742,26 @@ ExactSatResult exact_sat_synthesize(std::uint64_t tt, int num_inputs,
     // The triple encoding needs an operand universe of at least three, so
     // the smallest supported input count is 3 (callers use 5-6).
     assert(num_inputs >= 3 && num_inputs <= 6);
-    const std::uint64_t mask = wide_mask(num_inputs);
+    const std::uint64_t mask = tt_mask(num_inputs);
     SatSynthesizer synth(tt & mask, num_inputs, params);
-    return synth.run();
+    return synth.run(1, true);
 }
+
+namespace detail {
+
+bool normal_table_allowed(std::uint8_t table) {
+    return op_alphabet().allowed[table];
+}
+
+ExactSatResult cdcl_chain_search(std::uint64_t tt, int num_inputs,
+                                 const ExactSatParams& params, int first_length) {
+    assert(num_inputs >= 3 && num_inputs <= 6);
+    const std::uint64_t mask = tt_mask(num_inputs);
+    SatSynthesizer synth(tt & mask, num_inputs, params);
+    return synth.run(first_length, false);
+}
+
+}  // namespace detail
 
 std::optional<WideConeMatch> match_cone_wide(bdd::Manager& mgr,
                                              const bdd::Bdd& f,

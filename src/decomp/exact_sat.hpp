@@ -42,6 +42,12 @@
 //     enumeration would refine this further per-topology; fences are the
 //     coarser, cheaper cut of the same idea.)
 //
+// Chains of up to four steps never reach the solver: a constructive
+// decision procedure (decomp/exact_decide.hpp) settles every length from
+// the fanin floor to four without conflicts, returning the shallowest
+// minimum-length chain or a proof that none exists. The CDCL search above
+// starts at five steps.
+//
 // Everything is budgeted by solver conflicts — never wall time — and all
 // tie-breaks (counterexample choice, triple decode, fence order) are
 // deterministic, so a result is a pure function of (tt, n, params): racing
@@ -65,8 +71,10 @@ namespace bdsmaj::decomp {
 
 struct ExactSatParams {
     /// Total CDCL conflicts one synthesize call may spend, across every
-    /// chain length and fence. Conflicts — not time — keep the verdict
-    /// machine-independent. <= 0 means no budget: immediate kUnknown.
+    /// chain length it searches (five steps and up; shorter lengths are
+    /// decided without conflicts) and fence. Conflicts — not time — keep
+    /// the verdict machine-independent. <= 0 means no budget: immediate
+    /// kUnknown.
     long long conflict_budget = 10000;
     /// Largest chain length tried before giving up with kUnsat.
     int max_steps = 8;
@@ -89,13 +97,27 @@ struct ExactSatResult {
 
 /// Synthesize a minimum-length chain computing the n-variable function
 /// `tt` (low 2^n bits; 3 <= n <= 6 — the strategy pipeline calls with 5-6,
-/// smaller n is allowed for tests). On kFound the structure's gates are
-/// dead-code-eliminated from the decoded model, validated by eval_tt(),
-/// and `structure->canonical == tt`. Deterministic: identical
-/// (tt, n, params) always produce the identical result, including the
-/// exact gate list.
+/// smaller n is allowed for tests). Lengths up to four are decided by
+/// construction (zero conflicts; a chain found there has minimum depth
+/// among the minimum-length chains, and with max_steps <= 4 a miss is a
+/// kUnsat proof); longer ones by the CDCL search. On kFound the
+/// structure's gates are dead-code-eliminated, validated by eval_tt(), and
+/// `structure->canonical == tt`. Deterministic: identical (tt, n, params)
+/// always produce the identical result, including the exact gate list.
 [[nodiscard]] ExactSatResult exact_sat_synthesize(
     std::uint64_t tt, int num_inputs, const ExactSatParams& params = {});
+
+namespace detail {
+
+/// The CDCL chain search of exact_sat_synthesize on its own, starting at
+/// chain length max(first_length, fanin floor) with no decided prefix.
+/// exact_sat_synthesize runs this very loop from length five; tests pin
+/// the solver's trajectory through it at any first length.
+[[nodiscard]] ExactSatResult cdcl_chain_search(std::uint64_t tt, int num_inputs,
+                                               const ExactSatParams& params,
+                                               int first_length);
+
+}  // namespace detail
 
 /// How a concrete 5-6 support cone maps onto a wide canonical class:
 /// truth table over the sorted support, wide NPN class and transform

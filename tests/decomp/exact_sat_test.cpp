@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bdd/bdd.hpp"
+#include "decomp/exact_decide.hpp"
 #include "network/builder.hpp"
 #include "network/network.hpp"
 #include "network/simulate.hpp"
@@ -114,10 +115,12 @@ TEST(ExactSat, KnownFiveVariableFunctions) {
 TEST(ExactSat, FenceModeFindsTheSamePrograms) {
     // Forcing fences from chain length 2 exercises the composition
     // enumeration and its per-fence solvers; results must stay correct
-    // and minimal (parity-5 is 4 gates in any complete mode).
+    // and minimal (parity-5 is 4 gates in any complete mode). The CDCL
+    // search runs from the fanin floor here: exact_sat_synthesize decides
+    // four-step chains without it.
     ExactSatParams params;
     params.fence_min_steps = 2;
-    const ExactSatResult res = exact_sat_synthesize(parity_tt(5), 5, params);
+    const ExactSatResult res = detail::cdcl_chain_search(parity_tt(5), 5, params, 1);
     ASSERT_EQ(res.status, ExactSatStatus::kFound);
     EXPECT_EQ(res.structure->eval_tt(), parity_tt(5));
     EXPECT_EQ(res.structure->gate_count(), 4);
@@ -391,24 +394,37 @@ std::vector<MinChain> min_chain_classes() {
     };
 }
 
+/// The two searches the cap and budget contracts hold for: the full
+/// synthesis (short chains decided, CDCL from five steps) and the CDCL
+/// search alone from the fanin floor, which the fence cases exercise.
+enum class Search { kSynthesize, kCdclOnly };
+
+ExactSatResult run_search(Search search, const MinChain& c, const ExactSatParams& params) {
+    return search == Search::kSynthesize
+               ? exact_sat_synthesize(c.tt, c.inputs, params)
+               : detail::cdcl_chain_search(c.tt, c.inputs, params, 1);
+}
+
 TEST(ExactSat, CappingAtTheMinimumChainLengthChangesNothing) {
     // The search grows r from its fanin floor and proves every shorter
     // length UNSAT first, so a cap at r* replays the uncapped trajectory
     // exactly (same chain, same conflicts) and a cap at r* - 1 finds
     // nothing. Found chains have exactly steps_tried live gates.
+    for (const Search search : {Search::kSynthesize, Search::kCdclOnly})
     for (const MinChain& c : min_chain_classes()) {
         SCOPED_TRACE(c.name);
+        SCOPED_TRACE(search == Search::kSynthesize ? "synthesize" : "cdcl only");
         ExactSatParams uncapped;
         uncapped.max_steps = 8;
         uncapped.fence_min_steps = c.fence_min_steps;
-        const ExactSatResult full = exact_sat_synthesize(c.tt, c.inputs, uncapped);
+        const ExactSatResult full = run_search(search, c, uncapped);
         ASSERT_EQ(full.status, ExactSatStatus::kFound);
         EXPECT_EQ(full.structure->gate_count(), c.min_steps);
         EXPECT_EQ(full.structure->gate_count(), full.steps_tried);
 
         ExactSatParams at_min = uncapped;
         at_min.max_steps = c.min_steps;
-        const ExactSatResult capped = exact_sat_synthesize(c.tt, c.inputs, at_min);
+        const ExactSatResult capped = run_search(search, c, at_min);
         ASSERT_EQ(capped.status, ExactSatStatus::kFound);
         EXPECT_TRUE(same_program(*capped.structure, *full.structure));
         EXPECT_EQ(capped.conflicts, full.conflicts);
@@ -417,7 +433,7 @@ TEST(ExactSat, CappingAtTheMinimumChainLengthChangesNothing) {
 
         ExactSatParams below = uncapped;
         below.max_steps = c.min_steps - 1;
-        const ExactSatResult none = exact_sat_synthesize(c.tt, c.inputs, below);
+        const ExactSatResult none = run_search(search, c, below);
         EXPECT_EQ(none.status, ExactSatStatus::kUnsat);
         EXPECT_EQ(none.structure, nullptr);
         EXPECT_LE(none.conflicts, full.conflicts);
@@ -429,23 +445,29 @@ TEST(ExactSat, CachedChainIsReproducedOnlyAboveItsConflicts) {
     // model is complete: a chain that took C conflicts is found again at
     // budget C + 1 (same program, same conflicts) but not at budget C, and
     // not under a cap below its length. WideSynthesisCost encodes exactly
-    // that boundary for the wide cache.
+    // that boundary for the wide cache. A chain decided by construction
+    // took 0 conflicts: budget 0 refuses, budget 1 finds it.
+    for (const Search search : {Search::kSynthesize, Search::kCdclOnly})
     for (const MinChain& c : min_chain_classes()) {
         SCOPED_TRACE(c.name);
+        SCOPED_TRACE(search == Search::kSynthesize ? "synthesize" : "cdcl only");
         ExactSatParams params;
         params.fence_min_steps = c.fence_min_steps;
-        const ExactSatResult full = exact_sat_synthesize(c.tt, c.inputs, params);
+        const ExactSatResult full = run_search(search, c, params);
         ASSERT_EQ(full.status, ExactSatStatus::kFound);
-        ASSERT_GT(full.conflicts, 0);
+        if (search == Search::kCdclOnly || c.min_steps > detail::kDecidedSteps) {
+            ASSERT_GT(full.conflicts, 0);
+        } else {
+            ASSERT_EQ(full.conflicts, 0);
+        }
         const WideSynthesisCost cost{full.conflicts, full.steps_tried};
 
         params.conflict_budget = full.conflicts;
-        EXPECT_EQ(exact_sat_synthesize(c.tt, c.inputs, params).status,
-                  ExactSatStatus::kUnknown);
+        EXPECT_EQ(run_search(search, c, params).status, ExactSatStatus::kUnknown);
         EXPECT_FALSE(cost.reproduced_by(params.conflict_budget, params.max_steps));
 
         params.conflict_budget = full.conflicts + 1;
-        const ExactSatResult again = exact_sat_synthesize(c.tt, c.inputs, params);
+        const ExactSatResult again = run_search(search, c, params);
         ASSERT_EQ(again.status, ExactSatStatus::kFound);
         EXPECT_TRUE(same_program(*again.structure, *full.structure));
         EXPECT_EQ(again.conflicts, full.conflicts);

@@ -78,37 +78,38 @@ TEST(StrategyWide, WideConesFireAndStayEquivalent) {
               0);
 }
 
-/// Cones for the starvation test, in NPN classes the other tests never
-/// synthesize. The wide class cache is process-global; it serves a warm
-/// entry only to budgets that would have found it cold, so classes found
-/// in zero conflicts elsewhere would pass the starved budget legitimately.
+/// Cones for the starvation test: three 6-input functions whose shortest
+/// chains take five steps, so every synthesis reaches the CDCL search
+/// (chains of up to four steps are decided without conflicts and would
+/// be served at any budget). A warm cache entry is served only to budgets
+/// that would have found it cold, so a 1-conflict budget finds nothing.
 Network starvation_network() {
     Network network;
     net::HashedNetworkBuilder b(network);
     std::vector<Signal> x;
-    for (int i = 0; i < 15; ++i) {
+    for (int i = 0; i < 18; ++i) {
         x.push_back(Signal{network.add_input("x" + std::to_string(i)), false});
     }
-    // p0 = x0 ^ x1 ^ x2 ^ x3 ^ x4 (parity-5, 4 XOR gates minimum).
+    // p0 = x0 ^ ... ^ x5 (parity-6, 5 XOR gates minimum).
     Signal p0 = x[0];
-    for (int i = 1; i < 5; ++i) p0 = b.build_xor(p0, x[i]);
+    for (int i = 1; i < 6; ++i) p0 = b.build_xor(p0, x[i]);
     network.add_output("p0", b.realize(p0));
-    // p1 = x5 ^ x6 ^ x7 ^ (x8 & x9).
+    // p1 = x6 ^ x7 ^ x8 ^ x9 ^ (x10 & x11).
     network.add_output(
         "p1", b.realize(b.build_xor(
-                  b.build_xor(x[5], x[6]),
-                  b.build_xor(x[7], b.build_and(x[8], x[9])))));
-    // p2 = x10 ^ x11 ^ (x12 & x13 & x14).
+                  b.build_xor(b.build_xor(x[6], x[7]), b.build_xor(x[8], x[9])),
+                  b.build_and(x[10], x[11]))));
+    // p2 = x12 ^ x13 ^ x14 ^ (x15 & x16 & x17).
     network.add_output(
         "p2", b.realize(b.build_xor(
-                  b.build_xor(x[10], x[11]),
-                  b.build_and(x[12], b.build_and(x[13], x[14])))));
+                  b.build_xor(x[12], b.build_xor(x[13], x[14])),
+                  b.build_and(x[15], b.build_and(x[16], x[17])))));
     return network;
 }
 
 TEST(StrategyWide, BudgetExhaustionFallsBackCleanly) {
-    // With a 1-conflict budget every synthesis attempt exhausts; the
-    // result must be equivalent, contain no wide cones, and be
+    // With a 1-conflict budget every synthesis attempt exhausts at five
+    // steps; the result must be equivalent, contain no wide cones, and be
     // byte-identical to disabling the SAT backend outright (nothing
     // partial leaks into the network).
     const Network input = starvation_network();

@@ -119,7 +119,10 @@ TEST(SolverTrajectory, ExactChainSynthesisCountersArePinned) {
         params.conflict_budget = c.budget;
         params.max_steps = 8;
         params.fence_min_steps = c.fence_min_steps;
-        const decomp::ExactSatResult res = decomp::exact_sat_synthesize(c.tt, c.inputs, params);
+        // The CDCL search from the fanin floor: exact_sat_synthesize runs
+        // this loop from five steps, after deciding shorter chains.
+        const decomp::ExactSatResult res =
+            decomp::detail::cdcl_chain_search(c.tt, c.inputs, params, 1);
         EXPECT_EQ(res.status, c.status);
         EXPECT_EQ(res.conflicts, c.conflicts);
         EXPECT_EQ(res.solver_stats.conflicts, static_cast<std::uint64_t>(res.conflicts));

@@ -99,13 +99,15 @@ void print_help(std::FILE* to) {
         "  --iterations N               balancing iteration limit\n"
         "\n"
         "exact synthesis (the exact-* presets):\n"
-        "  --exact-max-support N        widest cone served exactly: <= 4 uses the\n"
-        "                               enumerated NPN classes, 5-6 engage the\n"
-        "                               on-demand SAT backend (default 6)\n"
-        "  --exact-sat-budget N         CDCL conflict budget per SAT-synthesized\n"
-        "                               cone class (default 10000; 0 disables the\n"
-        "                               SAT backend, exhaustion falls back to the\n"
-        "                               heuristic ladder)\n"
+        "  --exact-max-support N        widest cone served exactly, 0-6: <= 4 uses\n"
+        "                               the enumerated NPN classes, 5-6 engage the\n"
+        "                               on-demand chain synthesis (default 6)\n"
+        "  --exact-sat-budget N         CDCL conflict budget per cone class for\n"
+        "                               chains of 5 or more steps; shorter chains\n"
+        "                               are decided without conflicts (default\n"
+        "                               10000; 0 disables wide chain synthesis,\n"
+        "                               exhaustion falls back to the heuristic\n"
+        "                               ladder)\n"
         "  --exact-sat-steps N          longest SAT chain tried per class (default 8)\n"
         "  --exact-cache FILE           warm-start the exact-synthesis cache from\n"
         "                               FILE at startup (tolerant: a missing or\n"
@@ -176,14 +178,16 @@ int usage() {
     std::exit(2);
 }
 
-/// `text` as a whole T (no trailing garbage, finite, >= `min`); anything
-/// else is a usage error naming `flag`.
+/// `text` as a whole T (no trailing garbage, finite, in [`min`, `max`]);
+/// anything else is a usage error naming `flag`.
 template <typename T>
-T parse_number(const std::string& flag, const char* text, T min) {
+T parse_number(const std::string& flag, const char* text, T min,
+               T max = std::numeric_limits<T>::max()) {
     T value{};
     const char* end = text + std::strlen(text);
     const auto [ptr, ec] = std::from_chars(text, end, value);
-    if (ec != std::errc{} || ptr != end || !std::isfinite(double(value)) || value < min) {
+    if (ec != std::errc{} || ptr != end || !std::isfinite(double(value)) || value < min ||
+        value > max) {
         usage_error("invalid value \"" + std::string(text) + "\" for " + flag);
     }
     return value;
@@ -410,7 +414,9 @@ int main(int argc, char** argv) {
             if (i + 1 >= argc) usage_error(arg + " needs a value");
             return argv[++i];
         };
-        const auto number = [&]<typename T>(T min) { return parse_number<T>(arg, value(), min); };
+        const auto number = [&]<typename T>(T min, T max = std::numeric_limits<T>::max()) {
+            return parse_number<T>(arg, value(), min, max);
+        };
         if (arg == "--help" || arg == "-h") {
             print_help(stdout);
             return 0;
@@ -457,7 +463,7 @@ int main(int argc, char** argv) {
         } else if (arg == "--exact-cache") {
             opt.exact_cache_path = value();
         } else if (arg == "--exact-max-support") {
-            job.engine.exact_max_support = number(0);
+            job.engine.exact_max_support = number(0, 6);
         } else if (arg == "--exact-sat-budget") {
             job.engine.exact_sat_budget = number(0LL);
         } else if (arg == "--exact-sat-steps") {

@@ -82,7 +82,7 @@ echo "==> tier-1: shared-state suites in one process"
 # cache the StrategyWide counters read, the solver's pinned trajectories,
 # the rewriter's compiled-cut store) left behind by an earlier test. Run
 # those suites back to back in a single process as well.
-./build/bdsmaj_tests --gtest_filter='ExactPersist*:ExactSat*:Solver*:SolverTrajectory*:StrategyWide*:Rewrite*:Resyn2*:CompileCutFunction*'
+./build/bdsmaj_tests --gtest_filter='ExactPersist*:ExactSat*:ExactDecide*:Solver*:SolverTrajectory*:StrategyWide*:Rewrite*:Resyn2*:CompileCutFunction*'
 
 echo "==> docs: CLI reference drift check"
 # docs/cli.md is generated from the binary's own --help/--list-presets
