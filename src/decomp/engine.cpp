@@ -138,15 +138,9 @@ Signal BddDecomposer::emit(const Candidate& cand) {
         }
         case Candidate::Op::kExact: {
             ++stats_.exact_steps;
+            if (cand.match.num_inputs > 4) ++stats_.exact_wide_steps;
             assert(cand.structure != nullptr);
-            return emit_exact_cone(cand.match, *cand.structure, builder_, leaves_);
-        }
-        case Candidate::Op::kExactWide: {
-            ++stats_.exact_steps;
-            ++stats_.exact_wide_steps;
-            assert(cand.wide_structure != nullptr);
-            return emit_exact_cone_wide(cand.wide_match, *cand.wide_structure,
-                                        builder_, leaves_);
+            return emit_exact_cone_wide(cand.match, *cand.structure, builder_, leaves_);
         }
         case Candidate::Op::kSymmetric: {
             ++stats_.symmetric_steps;

@@ -11,8 +11,8 @@
 // presets. The stages themselves live in strategy.cpp:
 //
 //   0. constants / literals terminate the recursion (engine-internal);
-//   1. ExactSmallConeStrategy  — optional: NPN-cached minimal structures
-//      for cones with <= 4 support variables (decomp/exact.hpp);
+//   1. ExactSmallConeStrategy  — optional: NPN-cached minimum-length
+//      chains for cones with <= 6 support variables (decomp/exact.hpp);
 //   2. MajorityStrategy        — MAJ "on the top of the dominator nodes
 //      search", accepted only when globally advantageous (k_global);
 //   3. SimpleDominatorStrategy — 1-, 0-, x-dominators -> AND / OR / XOR;
@@ -52,29 +52,31 @@ struct EngineParams {
     /// decomposer. Unknown names throw std::invalid_argument at
     /// construction.
     std::string preset = "paper";
-    /// Support cap for the exact cone strategy. Up to 4 uses the
-    /// pre-enumerated NPN table (decomp/exact.hpp); 5 and 6 engage the
-    /// on-demand SAT backend (decomp/exact_sat.hpp). Hard limit 6.
+    /// Support cap for the exact cone strategy (decomp/exact_sat.hpp).
+    /// Cones of up to 4 support variables are served as 4-input classes;
+    /// 5 and 6 also need a positive exact_sat_budget. Hard limit 6.
     int exact_max_support = 6;
-    /// Conflict budget per SAT synthesis call on a 5-6 var cone class;
+    /// Conflict budget per synthesis call on a 5-6 var cone class;
     /// exhaustion records a negative cache entry and falls back to the
-    /// heuristic ladder (nothing partial is emitted). <= 0 disables the
-    /// SAT backend outright (wide cones fall through to the ladder).
+    /// heuristic ladder (nothing partial is emitted). <= 0 disables 5-6
+    /// var cones outright (they fall through to the ladder). Four-input
+    /// classes use the fixed kFourInputConflictBudget instead.
     long long exact_sat_budget = 10000;
-    /// Longest chain the SAT backend tries before declaring a class
+    /// Longest chain the synthesizer tries before declaring a class
     /// unsynthesizable at this effort.
     int exact_sat_max_steps = 8;
-    /// Profitability gate for the exact strategy: serve a cached structure
-    /// only when its gate count is below |dag(f)| + this margin (more
-    /// negative = more conservative, preserving the ladder's cross-cone
-    /// sharing; see ExactSmallConeStrategy). -1 is the measured sweet spot
-    /// on the MCNC suite.
+    /// Profitability gate for the exact strategy on cones of <= 4 support
+    /// variables: serve a chain only when its gate count is below
+    /// |dag(f)| + this margin (more negative = more conservative,
+    /// preserving the ladder's cross-cone sharing; see
+    /// ExactSmallConeStrategy). -1 is the measured sweet spot on the MCNC
+    /// suite.
     int exact_min_saving = -1;
-    /// The same margin for the 5-6 var SAT-synthesized cones, which are
-    /// larger sharing-opaque blocks and need a harsher bar (see
-    /// ExactSmallConeStrategy::propose_wide); tuned on MCNC mapped gates:
-    /// -4 ties the 4-var-only backend while still serving wide cones,
-    /// shallower margins lose the ladder's cross-cone sharing.
+    /// The same margin for 5-6 var cones, which are larger sharing-opaque
+    /// blocks and need a harsher bar (see ExactSmallConeStrategy); tuned on
+    /// MCNC mapped gates: -4 ties the 4-var-only backend while still
+    /// serving wide cones, shallower margins lose the ladder's cross-cone
+    /// sharing.
     int exact_min_saving_wide = -4;
     /// Support cap for the symmetric-cone strategy (the `symmetry`
     /// preset): cones with more support variables than this skip the
@@ -89,10 +91,11 @@ struct EngineParams {
 };
 
 /// Counts of applied decompositions, one increment per recursion step.
-/// npn_cache_* describe the process-wide exact-structure cache and are the
-/// only fields that depend on prior process history (a class enumerated by
-/// an earlier run is a hit here), so they are excluded from determinism
-/// fingerprints; everything else is a pure function of input and preset.
+/// npn_cache_* describe the process-wide exact-structure cache for
+/// 4-input classes (a miss is a synthesis) and depend on prior process
+/// history (a class synthesized by an earlier run is a hit here), so they
+/// are excluded from determinism fingerprints, like the exact_sat_*,
+/// cone_cache_* and timing fields below.
 struct EngineStats {
     int and_steps = 0;
     int or_steps = 0;

@@ -105,12 +105,9 @@ const OpAlphabet& op_alphabet() {
 }
 
 // ---------------------------------------------------------------------------
-// Chain encoding over one sat::Solver. Used in two modes:
-//   * flat/incremental: steps are appended as the chain length grows, with
-//     per-r output bindings and symmetry clauses guarded by an assumption
-//     literal (grow_to / output binding via activation var);
-//   * fence: a fixed number of steps whose operand triples are restricted
-//     by a level structure, output bindings unguarded.
+// Chain encoding over one incremental sat::Solver: steps are appended as
+// the chain length grows, with per-r output bindings and symmetry clauses
+// guarded by an assumption literal.
 // ---------------------------------------------------------------------------
 
 struct Triple {
@@ -119,6 +116,21 @@ struct Triple {
         return j == x || k == x || l == x;
     }
 };
+
+/// All operand triples j < k < l over universe size `u`.
+std::vector<Triple> full_triples(int u) {
+    std::vector<Triple> out;
+    for (int j = 0; j < u; ++j) {
+        for (int k = j + 1; k < u; ++k) {
+            for (int l = k + 1; l < u; ++l) {
+                out.push_back(Triple{static_cast<std::uint8_t>(j),
+                                     static_cast<std::uint8_t>(k),
+                                     static_cast<std::uint8_t>(l)});
+            }
+        }
+    }
+    return out;
+}
 
 struct StepVars {
     std::array<sat::Var, 8> f{};  ///< f[1..7]; pattern 000 is implicitly 0
@@ -136,14 +148,13 @@ public:
         return static_cast<int>(steps_.size());
     }
 
-    /// Append one step whose operand triples are `triples` (already
-    /// restricted by the caller: full universe in flat mode, fence-legal
-    /// in fence mode). Adds operator-alphabet and selection clauses plus
-    /// value bindings for every already-active minterm.
-    void add_step(std::vector<Triple> triples) {
+    /// Append one step reading any triple of the inputs and earlier
+    /// steps. Adds operator-alphabet and selection clauses plus value
+    /// bindings for every already-active minterm.
+    void add_step() {
         const OpAlphabet& alpha = op_alphabet();
         StepVars sv;
-        sv.triples = std::move(triples);
+        sv.triples = full_triples(n_ + num_steps());
         for (int v = 1; v < 8; ++v) sv.f[static_cast<std::size_t>(v)] = solver_.new_var();
         // Forbid every normal 8-bit table outside the one-gate alphabet.
         std::vector<sat::Lit> clause;
@@ -192,28 +203,23 @@ public:
     }
 
     /// Clause "output step equals the target at active minterm mi",
-    /// optionally guarded (guard must be false or the clause holds).
-    void add_output_binding(int mi, sat::Lit guard = sat::kUndefLit) {
+    /// guarded (guard must be false or the clause holds).
+    void add_output_binding(int mi, sat::Lit guard) {
         const StepVars& out = steps_.back();
         const std::uint32_t m = minterms_[static_cast<std::size_t>(mi)];
         const bool bit = ((target_ >> m) & 1) != 0;
-        const sat::Lit vl =
-            sat::Lit::make(out.val[static_cast<std::size_t>(mi)], !bit);
-        if (guard == sat::kUndefLit) {
-            solver_.add_clause(vl);
-        } else {
-            solver_.add_clause(~guard, vl);
-        }
+        solver_.add_clause(~guard,
+                           sat::Lit::make(out.val[static_cast<std::size_t>(mi)], !bit));
     }
 
     /// Symmetry breaking: every non-output step must be referenced by a
     /// selected triple of a later step (a minimal chain has no dead step).
-    void add_use_all_steps(sat::Lit guard = sat::kUndefLit) {
+    void add_use_all_steps(sat::Lit guard) {
         const int r = num_steps();
         std::vector<sat::Lit> clause;
         for (int i = 0; i < r - 1; ++i) {
             clause.clear();
-            if (guard != sat::kUndefLit) clause.push_back(~guard);
+            clause.push_back(~guard);
             const int operand = n_ + i;
             for (int i2 = i + 1; i2 < r; ++i2) {
                 const StepVars& sv = steps_[static_cast<std::size_t>(i2)];
@@ -340,43 +346,6 @@ private:
     std::vector<StepVars> steps_;
     std::vector<std::uint32_t> minterms_;
 };
-
-/// All operand triples j < k < l over universe size `u`.
-std::vector<Triple> full_triples(int u) {
-    std::vector<Triple> out;
-    for (int j = 0; j < u; ++j) {
-        for (int k = j + 1; k < u; ++k) {
-            for (int l = k + 1; l < u; ++l) {
-                out.push_back(Triple{static_cast<std::uint8_t>(j),
-                                     static_cast<std::uint8_t>(k),
-                                     static_cast<std::uint8_t>(l)});
-            }
-        }
-    }
-    return out;
-}
-
-/// Compositions of r into ordered positive parts (fence level sizes),
-/// in deterministic separator-mask order.
-std::vector<std::vector<int>> compositions(int r) {
-    std::vector<std::vector<int>> out;
-    const std::uint32_t masks = 1u << (r - 1);
-    for (std::uint32_t sep = 0; sep < masks; ++sep) {
-        std::vector<int> parts;
-        int run = 1;
-        for (int g = 0; g < r - 1; ++g) {
-            if ((sep >> g) & 1) {
-                parts.push_back(run);
-                run = 1;
-            } else {
-                ++run;
-            }
-        }
-        parts.push_back(run);
-        out.push_back(std::move(parts));
-    }
-    return out;
-}
 
 /// Build the decoded model into a dead-code-eliminated WideStructure
 /// computing `tt` (the pre-normalization target); output complementation
@@ -542,128 +511,48 @@ public:
             first = std::max(first, detail::kDecidedSteps + 1);
         }
 
-        // Flat incremental phase.
-        ChainEncoding flat(g, n_);
-        const int flat_end =
-            std::min(params_.max_steps, params_.fence_min_steps - 1);
-        for (int r = first; r <= flat_end; ++r) {
+        // CDCL over one incremental encoding, one length at a time.
+        ChainEncoding enc(g, n_);
+        for (int r = first; r <= params_.max_steps; ++r) {
             res.steps_tried = r;
-            while (flat.num_steps() < r) {
-                flat.add_step(full_triples(n_ + flat.num_steps()));
+            while (enc.num_steps() < r) enc.add_step();
+            const sat::Lit guard = sat::Lit::make(enc.solver().new_var());
+            for (int mi = 0; mi < enc.num_minterms(); ++mi) {
+                enc.add_output_binding(mi, guard);
             }
-            const sat::Lit guard = sat::Lit::make(flat.solver().new_var());
-            for (int mi = 0; mi < flat.num_minterms(); ++mi) {
-                flat.add_output_binding(mi, guard);
-            }
-            flat.add_use_all_steps(guard);
+            enc.add_use_all_steps(guard);
             for (;;) {
                 const long long remaining = params_.conflict_budget - spent_;
                 if (remaining <= 0) {
-                    finish(res, ExactSatStatus::kUnknown, &flat);
+                    finish(res, ExactSatStatus::kUnknown, &enc);
                     return res;
                 }
-                const sat::SolveResult sr = solve(flat, {guard}, remaining);
+                const sat::SolveResult sr = solve(enc, {guard}, remaining);
                 ++res.sat_calls;
                 if (sr == sat::SolveResult::kUnknown) {
-                    finish(res, ExactSatStatus::kUnknown, &flat);
+                    finish(res, ExactSatStatus::kUnknown, &enc);
                     return res;
                 }
                 if (sr == sat::SolveResult::kUnsat) {
                     // Kill this generation's clauses and move to r + 1.
-                    flat.solver().add_clause(~guard);
+                    enc.solver().add_clause(~guard);
                     break;
                 }
-                const ChainEncoding::Decoded d = flat.decode();
+                const ChainEncoding::Decoded d = enc.decode();
                 if (d.tt == g) {
                     res.structure = build_structure(d, tt_, n_, out_compl);
-                    finish(res, ExactSatStatus::kFound, &flat);
+                    finish(res, ExactSatStatus::kFound, &enc);
                     return res;
                 }
-                const std::uint32_t cex = next_counterexample(d.tt, g);
-                minterms_.push_back(cex);
-                const int mi = flat.add_minterm(cex);
-                flat.add_output_binding(mi, guard);
+                const int mi = enc.add_minterm(next_counterexample(d.tt, g));
+                enc.add_output_binding(mi, guard);
             }
         }
-        retired_stats_ += flat.solver().stats();
-
-        // Fence phase: per-(r, fence) solvers over restricted triples.
-        for (int r = std::max(first, params_.fence_min_steps);
-             r <= params_.max_steps; ++r) {
-            res.steps_tried = r;
-            for (const std::vector<int>& fence : compositions(r)) {
-                ChainEncoding enc(g, n_);
-                build_fence(enc, fence);
-                for (const std::uint32_t m : minterms_) enc.add_minterm(m);
-                for (int mi = 0; mi < enc.num_minterms(); ++mi) {
-                    enc.add_output_binding(mi);
-                }
-                enc.add_use_all_steps();
-                bool fence_done = false;
-                while (!fence_done) {
-                    const long long remaining = params_.conflict_budget - spent_;
-                    if (remaining <= 0) {
-                        finish(res, ExactSatStatus::kUnknown, &enc);
-                        return res;
-                    }
-                    const sat::SolveResult sr = solve(enc, {}, remaining);
-                    ++res.sat_calls;
-                    if (sr == sat::SolveResult::kUnknown) {
-                        finish(res, ExactSatStatus::kUnknown, &enc);
-                        return res;
-                    }
-                    if (sr == sat::SolveResult::kUnsat) {
-                        fence_done = true;
-                        continue;
-                    }
-                    const ChainEncoding::Decoded d = enc.decode();
-                    if (d.tt == g) {
-                        res.structure = build_structure(d, tt_, n_, out_compl);
-                        finish(res, ExactSatStatus::kFound, &enc);
-                        return res;
-                    }
-                    const std::uint32_t cex = next_counterexample(d.tt, g);
-                    minterms_.push_back(cex);
-                    const int mi = enc.add_minterm(cex);
-                    enc.add_output_binding(mi);
-                }
-                retired_stats_ += enc.solver().stats();
-            }
-        }
-        finish(res, ExactSatStatus::kUnsat);
+        finish(res, ExactSatStatus::kUnsat, &enc);
         return res;
     }
 
 private:
-    /// Fence-legal steps: level q may select operands among inputs and all
-    /// steps of levels < q, with at least one operand on level q - 1 (the
-    /// longest-path argument makes the per-r enumeration complete).
-    void build_fence(ChainEncoding& enc, const std::vector<int>& fence) {
-        int level_begin = 0;  // first step index of the current level
-        for (std::size_t q = 0; q < fence.size(); ++q) {
-            const int level_size = fence[q];
-            // Operand universe: inputs plus steps below this level.
-            const int universe = n_ + level_begin;
-            const int prev_begin =
-                q == 0 ? -1 : level_begin - fence[q - 1];
-            std::vector<Triple> legal;
-            for (const Triple& t : full_triples(universe)) {
-                if (q == 0) {
-                    legal.push_back(t);  // level 0: inputs only, by universe
-                    continue;
-                }
-                const auto on_prev = [&](int x) {
-                    return x >= n_ + prev_begin && x < n_ + level_begin;
-                };
-                if (on_prev(t.j) || on_prev(t.k) || on_prev(t.l)) {
-                    legal.push_back(t);
-                }
-            }
-            for (int s = 0; s < level_size; ++s) enc.add_step(legal);
-            level_begin += level_size;
-        }
-    }
-
     sat::SolveResult solve(ChainEncoding& enc,
                            const std::vector<sat::Lit>& assumptions,
                            long long limit) {
@@ -682,14 +571,12 @@ private:
         return static_cast<std::uint32_t>(std::countr_zero(diff));
     }
 
-    /// `live` is the encoding still searching when the call ends (its
-    /// solver's counters are not in retired_stats_ yet), if any.
+    /// `enc` is the call's solver, if it built one.
     void finish(ExactSatResult& res, ExactSatStatus status,
-                ChainEncoding* live = nullptr) const {
+                ChainEncoding* enc = nullptr) const {
         res.status = status;
         res.conflicts = spent_;
-        res.solver_stats = retired_stats_;
-        if (live != nullptr) res.solver_stats += live->solver().stats();
+        if (enc != nullptr) res.solver_stats = enc->solver().stats();
     }
 
     std::uint64_t tt_;
@@ -697,15 +584,13 @@ private:
     ExactSatParams params_;
     std::uint64_t mask_;
     long long spent_ = 0;
-    sat::SolverStats retired_stats_;  ///< solvers this call is done with
-    std::vector<std::uint32_t> minterms_;  ///< shared across fences
 };
 
 // ---------------------------------------------------------------------------
-// Wide canonicalization memo: a 6-var exact NPN walk visits ~92k
-// transforms, and the strategy pipeline canonicalizes every 5-6 support
-// cone it sees — repeated shapes (there are few distinct wide classes in
-// real netlists) should pay once per process.
+// Canonicalization memo: a 6-var exact NPN walk visits ~92k transforms,
+// and the strategy pipeline canonicalizes every cone it serves — repeated
+// shapes (there are few distinct classes in real netlists) should pay
+// once per process.
 // ---------------------------------------------------------------------------
 
 struct WideCanonEntry {
@@ -716,9 +601,9 @@ struct WideCanonEntry {
 std::uint64_t wide_canonical_memo(std::uint64_t tt, int n,
                                   tt::NpnTransformW* transform) {
     static std::mutex mutex;
-    static std::array<std::unordered_map<std::uint64_t, WideCanonEntry>, 2> memo;
-    if (n < 5 || n > 6) return tt::npn_canonical_w(tt, n, transform);
-    const std::size_t slot = static_cast<std::size_t>(n - 5);
+    static std::array<std::unordered_map<std::uint64_t, WideCanonEntry>, 3> memo;
+    if (n < 4 || n > 6) return tt::npn_canonical_w(tt, n, transform);
+    const std::size_t slot = static_cast<std::size_t>(n - 4);
     {
         std::lock_guard<std::mutex> lock(mutex);
         const auto it = memo[slot].find(tt);
@@ -772,19 +657,22 @@ std::optional<WideConeMatch> match_cone_wide(bdd::Manager& mgr,
     if (size < min_support || size > max_support) return std::nullopt;
     WideConeMatch match;
     match.support_size = size;
+    match.num_inputs = std::max(size, 4);
     for (int i = 0; i < size; ++i) {
         match.support[static_cast<std::size_t>(i)] =
             support[static_cast<std::size_t>(i)];
     }
+    // Minterm bits above the support are padding inputs, which f ignores.
     std::vector<bool> values(static_cast<std::size_t>(mgr.num_vars()), false);
-    for (std::uint32_t m = 0; m < (1u << size); ++m) {
+    for (std::uint32_t m = 0; m < (1u << match.num_inputs); ++m) {
         for (int i = 0; i < size; ++i) {
             values[static_cast<std::size_t>(support[static_cast<std::size_t>(i)])] =
                 ((m >> i) & 1) != 0;
         }
         if (mgr.eval(f, values)) match.tt |= 1ULL << m;
     }
-    match.canonical = wide_canonical_memo(match.tt, size, &match.transform);
+    match.canonical =
+        wide_canonical_memo(match.tt, match.num_inputs, &match.transform);
     return match;
 }
 
@@ -792,8 +680,8 @@ net::Signal emit_exact_cone_wide(const WideConeMatch& match,
                                  const WideStructure& s, net::GateSink& sink,
                                  std::span<const net::Signal> leaves) {
     assert(s.canonical == match.canonical);
-    assert(s.num_inputs == match.support_size);
-    const int n = match.support_size;
+    assert(s.num_inputs == match.num_inputs);
+    const int n = match.num_inputs;
     std::array<int, 6> invperm{};
     for (int v = 0; v < n; ++v) {
         invperm[match.transform.permutation[static_cast<std::size_t>(v)]] = v;
@@ -813,8 +701,11 @@ net::Signal emit_exact_cone_wide(const WideConeMatch& match,
                 const int pos = invperm[r.index];
                 const bool negated =
                     ((match.transform.input_negation >> pos) & 1) != 0;
-                const int var = match.support[static_cast<std::size_t>(pos)];
-                const net::Signal leaf = leaves[static_cast<std::size_t>(var)];
+                const net::Signal leaf =
+                    pos < match.support_size
+                        ? leaves[static_cast<std::size_t>(
+                              match.support[static_cast<std::size_t>(pos)])]
+                        : sink.constant(false);
                 input[r.index] = negated ? !leaf : leaf;
                 input_ready[r.index] = true;
             }

@@ -1,13 +1,12 @@
 #pragma once
-// SAT-based exact synthesis for 5-6 input cones (the >= 5-var extension of
-// the enumerated backend in decomp/exact.hpp).
+// Exact chain synthesis for the cones of the exact strategy: four inputs
+// (cones of up to four support variables, padded) and five or six.
 //
-// The narrow backend pre-enumerates all 65536 4-var functions; that is
-// hopeless at 2^32 / 2^64 functions, so wider cones are synthesized
-// on demand by asking a SAT solver (sat/solver.hpp) a sequence of
-// percy-style questions: "does an r-step straight-line chain over
-// {MAJ, AND, OR, XOR, MUX} with free input/output polarities compute tt?"
-// for r growing from a fanin lower bound. The encoding is the standard
+// Enumerating every function is hopeless at 2^32 / 2^64 functions, so each
+// NPN class is synthesized on demand, once per process, by asking a
+// sequence of percy-style questions: "does an r-step straight-line chain
+// over {MAJ, AND, OR, XOR, MUX} with free input/output polarities compute
+// tt?" for r growing from a fanin lower bound. The encoding is the standard
 // selection-variable scheme over *normal* chains:
 //
 //   * step i picks an ordered operand triple (j < k < l) from the inputs
@@ -28,19 +27,11 @@
 //     and evaluated against the full 64-bit truth table in O(r) word ops,
 //     and the lowest differing minterm refines the encoding. Most calls
 //     converge with a handful of minterms instead of all 2^n;
-//   * chain lengths share one incremental solver: the r-specific clauses
-//     (output binding, use-every-step symmetry breaking) are guarded by a
-//     per-r assumption literal, so learned clauses survive the r -> r+1
-//     step and the dead generation is killed with one unit clause;
-//   * for long chains (r >= fence_min_steps) the search switches to fence
-//     topology pre-enumeration: each composition of r into levels gets its
-//     own small solver whose steps may only select operands from lower
-//     levels with at least one operand on the level directly below.
-//     Every DAG chain maps to exactly one fence via longest-path level
-//     assignment, so enumerating all compositions per r stays complete
-//     while each individual CNF is far more constrained. (Partial-DAG
-//     enumeration would refine this further per-topology; fences are the
-//     coarser, cheaper cut of the same idea.)
+//   * chain lengths share one incremental solver (sat/solver.hpp): the
+//     r-specific clauses (output binding, use-every-step symmetry
+//     breaking) are guarded by a per-r assumption literal, so learned
+//     clauses survive the r -> r+1 step and the dead generation is killed
+//     with one unit clause.
 //
 // Chains of up to four steps never reach the solver: a constructive
 // decision procedure (decomp/exact_decide.hpp) settles every length from
@@ -49,8 +40,8 @@
 // starts at five steps.
 //
 // Everything is budgeted by solver conflicts — never wall time — and all
-// tie-breaks (counterexample choice, triple decode, fence order) are
-// deterministic, so a result is a pure function of (tt, n, params): racing
+// tie-breaks (counterexample choice, triple decode) are deterministic, so
+// a result is a pure function of (tt, n, params): racing
 // workers, any jobs count, and any run-to-run timing converge on identical
 // programs. Budget exhaustion returns kUnknown and the caller falls back
 // to the heuristic ladder; nothing is partially emitted.
@@ -72,16 +63,19 @@ namespace bdsmaj::decomp {
 struct ExactSatParams {
     /// Total CDCL conflicts one synthesize call may spend, across every
     /// chain length it searches (five steps and up; shorter lengths are
-    /// decided without conflicts) and fence. Conflicts — not time — keep
-    /// the verdict machine-independent. <= 0 means no budget: immediate
-    /// kUnknown.
+    /// decided without conflicts). Conflicts — not time — keep the verdict
+    /// machine-independent. <= 0 means no budget: immediate kUnknown.
     long long conflict_budget = 10000;
     /// Largest chain length tried before giving up with kUnsat.
     int max_steps = 8;
-    /// Chain lengths >= this use per-fence solvers instead of the shared
-    /// incremental encoding (the unrestricted CNF gets too loose there).
-    int fence_min_steps = 6;
 };
+
+/// Conflict budget of the exact strategy's four-input classes. Fixed, not
+/// the job's exact_sat_budget (which governs five and six inputs only):
+/// every one of the 222 classes is found well inside it (the most costly
+/// takes about 6k conflicts), so each program is a pure function of its
+/// class.
+inline constexpr long long kFourInputConflictBudget = 100000;
 
 struct ExactSatResult {
     ExactSatStatus status = ExactSatStatus::kUnknown;
@@ -96,8 +90,8 @@ struct ExactSatResult {
 };
 
 /// Synthesize a minimum-length chain computing the n-variable function
-/// `tt` (low 2^n bits; 3 <= n <= 6 — the strategy pipeline calls with 5-6,
-/// smaller n is allowed for tests). Lengths up to four are decided by
+/// `tt` (low 2^n bits; 3 <= n <= 6 — the strategy pipeline calls with 4-6,
+/// n = 3 is allowed for tests). Lengths up to four are decided by
 /// construction (zero conflicts; a chain found there has minimum depth
 /// among the minimum-length chains, and with max_steps <= 4 a miss is a
 /// kUnsat proof); longer ones by the CDCL search. On kFound the
@@ -119,15 +113,18 @@ namespace detail {
 
 }  // namespace detail
 
-/// How a concrete 5-6 support cone maps onto a wide canonical class:
-/// truth table over the sorted support, wide NPN class and transform
-/// (apply_npn_w(tt, n, transform) == canonical), support variables.
+/// How a concrete cone maps onto a canonical class: truth table over the
+/// sorted support padded to `num_inputs` = max(4, support size) inputs
+/// (the padding inputs are don't-cares), NPN class and transform
+/// (apply_npn_w(tt, num_inputs, transform) == canonical), support
+/// variables.
 struct WideConeMatch {
     std::uint64_t tt = 0;
     std::uint64_t canonical = 0;
     tt::NpnTransformW transform;
     std::array<int, 6> support{-1, -1, -1, -1, -1, -1};
     int support_size = 0;
+    int num_inputs = 0;
 };
 
 /// Extract the truth table of `f` when its support size is within
@@ -137,9 +134,11 @@ struct WideConeMatch {
 [[nodiscard]] std::optional<WideConeMatch> match_cone_wide(
     bdd::Manager& mgr, const bdd::Bdd& f, int min_support, int max_support);
 
-/// Replay `s` into `sink` for the cone described by `match` — the wide
-/// analogue of emit_exact_cone: canonical input j resolves through the
-/// inverse NPN transform to the leaf of the matching support variable.
+/// Replay `s` into `sink` for the cone described by `match`: canonical
+/// input j resolves through the inverse NPN transform to the leaf of the
+/// matching support variable (complemented as needed), and the program's
+/// output polarity absorbs the transform's output negation. A padding
+/// input binds to constant zero; the cone does not depend on it.
 /// `leaves[v]` must be the sink signal of manager variable v.
 [[nodiscard]] net::Signal emit_exact_cone_wide(
     const WideConeMatch& match, const WideStructure& s, net::GateSink& sink,

@@ -281,9 +281,11 @@ DecompFlowResult decompose_network(const Network& input, const DecompFlowParams&
             DegradeStage stage;
             stage.params = degraded_stage_params(params, ladder[s],
                                                  /*terminal=*/s + 1 == ladder.size());
-            // Validates the preset name too (throws on an unknown one
-            // before any supernode runs).
-            preset_pipeline(ladder[s]);
+            // An unknown preset throws here, before any supernode runs.
+            if (!is_known_preset(ladder[s])) {
+                throw std::invalid_argument("unknown degrade-ladder preset \"" +
+                                            ladder[s] + "\"");
+            }
             stage.config = stage.params.cone_cache
                                ? cone_cache_config_blob(stage.params.engine,
                                                         stage.params.manager,

@@ -239,22 +239,25 @@ public:
     }
 };
 
-/// Exact cone strategy: when the support fits in 4 variables, serve the
-/// minimal cached {MAJ,AND,OR,XOR,MUX,NOT} structure for the cone's NPN
-/// class; with exact_max_support >= 5, cones of 5-6 support variables are
-/// synthesized on demand by the SAT backend (decomp/exact_sat.hpp) under
-/// a per-class conflict budget, with both successes and exhaustions
-/// memoized process-wide. The DAG-size pre-filters keep the reject path
-/// O(1): a reduced BDD over 4 (resp. 6) variables never exceeds a
+/// Exact cone strategy: a cone whose support fits in exact_max_support
+/// (<= 6) variables is served the minimum-length {MAJ,AND,OR,XOR,MUX,NOT}
+/// chain of its NPN class. Cones of up to four support variables are
+/// padded to four inputs; each class is synthesized on demand by the chain
+/// synthesizer (decomp/exact_sat.hpp) under a per-class conflict budget,
+/// with both successes and failures memoized process-wide. Every decision
+/// is a pure function of the cone's canonical class and the (budget,
+/// max_steps) effort, so racing workers and any jobs count converge: a
+/// cache hit serves exactly the program a cold synthesis would have
+/// produced, and a negative entry only covers efforts where synthesis
+/// would have failed identically. The DAG-size pre-filter keeps the
+/// reject path O(1): a reduced BDD over 6 variables never exceeds a
 /// handful of nodes.
 class ExactSmallConeStrategy final : public DecompStrategy {
 public:
-    /// Largest reduced-BDD node count of any function on <= 4 variables
-    /// (3 + 2 + 4 + 2 per level, generously rounded up).
-    static constexpr std::size_t kMaxSmallConeNodes = 16;
-    /// Same bound for 6 variables: level widths 1+2+4+8+13+2 with
-    /// complement edges, generously rounded up.
-    static constexpr std::size_t kMaxWideConeNodes = 40;
+    /// Largest reduced-BDD node count of any function on <= 6 variables:
+    /// level widths 1+2+4+8+13+2 with complement edges, generously
+    /// rounded up.
+    static constexpr std::size_t kMaxConeNodes = 40;
 
     [[nodiscard]] StrategyKind kind() const noexcept override {
         return StrategyKind::kExactSmallCone;
@@ -263,119 +266,93 @@ public:
         return "exact-small-cone";
     }
     [[nodiscard]] std::optional<Candidate> propose(StepContext& ctx) override {
-        // Profitability gate (both widths): an exact structure is a
-        // sharing-opaque block (its gates only unify with structurally
-        // identical ones), while the ladder's recursion memoizes shared
-        // sub-BDDs across the whole supernode. Serving the cone is only a
-        // win when the program is strictly smaller than the ladder's
-        // ~1-gate-per-BDD-node yield.
-        const int gate_limit =
-            static_cast<int>(ctx.f_size) + ctx.params.exact_min_saving;
-        if (ctx.f_size <= kMaxSmallConeNodes) {
-            const int max_support = std::min(ctx.params.exact_max_support, 4);
-            std::optional<ConeMatch> match =
-                match_cone(ctx.mgr, ctx.f, max_support);
-            if (match) {
-                bool was_hit = false;
-                Candidate cand;
-                cand.structure = ExactSynthesisCache::instance().lookup(
-                    match->canonical, &was_hit);
-                if (was_hit) {
-                    ++ctx.stats.npn_cache_hits;
-                } else {
-                    ++ctx.stats.npn_cache_misses;
-                }
-                if (cand.structure->gate_count() >= gate_limit) {
-                    return std::nullopt;
-                }
-                cand.source = StrategyKind::kExactSmallCone;
-                cand.op = Candidate::Op::kExact;
-                cand.match = *match;
-                return cand;
-            }
-        }
-        return propose_wide(ctx, gate_limit);
-    }
-
-private:
-    /// The 5-6 var SAT path. Every decision is a pure function of the
-    /// cone's canonical class and the (budget, max_steps) effort, so racing
-    /// workers and any jobs count converge: a cache hit serves exactly the
-    /// program a cold synthesis would have produced, and a negative entry
-    /// only covers efforts where synthesis would have failed identically.
-    [[nodiscard]] std::optional<Candidate> propose_wide(StepContext& ctx,
-                                                        int gate_limit) {
-        if (ctx.params.exact_max_support < 5 || ctx.params.exact_sat_budget <= 0 ||
-            ctx.f_size > kMaxWideConeNodes) {
-            return std::nullopt;
-        }
-        // Wide cones need a harsher margin than the narrow ones: at 5-6
-        // variables the cone's sub-BDDs are shared across far more sibling
-        // recursions, so the ladder's marginal cost sits below f_size.
-        gate_limit =
-            static_cast<int>(ctx.f_size) + ctx.params.exact_min_saving_wide;
-        const int max_support = std::min(ctx.params.exact_max_support, 6);
+        if (ctx.f_size > kMaxConeNodes) return std::nullopt;
+        // A nonpositive exact_sat_budget turns five and six inputs off.
+        const int max_support = std::min(ctx.params.exact_max_support,
+                                         ctx.params.exact_sat_budget > 0 ? 6 : 4);
         const std::optional<WideConeMatch> match =
-            match_cone_wide(ctx.mgr, ctx.f, 5, max_support);
+            match_cone_wide(ctx.mgr, ctx.f, 0, max_support);
         if (!match) return std::nullopt;
+        const bool four_inputs = match->num_inputs == 4;
+        // Profitability gate: an exact structure is a sharing-opaque block
+        // (its gates only unify with structurally identical ones), while
+        // the ladder's recursion memoizes shared sub-BDDs across the whole
+        // supernode. Serving the cone is only a win when the program is
+        // strictly smaller than the ladder's ~1-gate-per-BDD-node yield.
+        // Wider cones need a harsher margin: at 5-6 variables the cone's
+        // sub-BDDs are shared across far more sibling recursions, so the
+        // ladder's marginal cost sits below f_size.
+        const int gate_limit =
+            static_cast<int>(ctx.f_size) + (four_inputs ? ctx.params.exact_min_saving
+                                                        : ctx.params.exact_min_saving_wide);
         // Fanin floor: r 3-input steps reach at most 2r+1 leaves, so a
         // cone on s variables needs >= ceil((s-1)/2) = s/2 gates. Skip the
-        // solver entirely when even that floor cannot beat the gate limit.
+        // synthesis entirely when even that floor cannot beat the limit.
         if (match->support_size / 2 >= gate_limit) return std::nullopt;
         // Incumbent bound: a chain of gate_limit or more gates is never
         // served, so the search stops below it. Chain length grows from the
-        // fanin floor and every shorter length is proven UNSAT first, so the
-        // trajectory (and its conflicts) up to the cap is the uncapped one:
-        // the capped search finds exactly the chains that would be served.
+        // fanin floor and every shorter length is proven chain-free first,
+        // so the trajectory (and its conflicts) up to the cap is the
+        // uncapped one: the capped search finds exactly the chains that
+        // would be served.
         ExactSatParams sat_params;
-        sat_params.conflict_budget = ctx.params.exact_sat_budget;
+        sat_params.conflict_budget =
+            four_inputs ? kFourInputConflictBudget : ctx.params.exact_sat_budget;
         sat_params.max_steps = std::min(ctx.params.exact_sat_max_steps, gate_limit - 1);
 
         ExactSynthesisCache& cache = ExactSynthesisCache::instance();
+        const int n = match->num_inputs;
         WideSynthesisCost cost;
         std::shared_ptr<const WideStructure> structure =
-            cache.lookup_wide(match->support_size, match->canonical, &cost);
+            cache.lookup_wide(n, match->canonical, &cost);
         const bool cache_hit = structure != nullptr;
+        bool synthesized = false;
         if (cache_hit) {
             // Serve only what this job's own cold synthesis would find: a
             // chain found with more budget (or a longer cap) by an earlier
-            // job must not leak into this one. A refused hit is a fallback.
+            // job must not leak into this one.
             if (!cost.reproduced_by(sat_params.conflict_budget, sat_params.max_steps)) {
-                ++ctx.stats.exact_sat_fallbacks;
-                return std::nullopt;
+                structure.reset();
             }
-        } else if (cache.wide_failure_covers(match->support_size, match->canonical,
-                                             sat_params.conflict_budget,
-                                             sat_params.max_steps)) {
-            ++ctx.stats.exact_sat_fallbacks;
-            return std::nullopt;
-        } else {
-            const ExactSatResult res = exact_sat_synthesize(
-                match->canonical, match->support_size, sat_params);
-            ++ctx.stats.exact_sat_synthesized;
-            ctx.stats.exact_sat_conflicts += res.conflicts;
-            if (res.status != ExactSatStatus::kFound) {
-                cache.record_wide_failure(match->support_size, match->canonical,
-                                          res.status, sat_params.conflict_budget,
+        } else if (!cache.wide_failure_covers(n, match->canonical,
+                                              sat_params.conflict_budget,
+                                              sat_params.max_steps)) {
+            const ExactSatResult res =
+                exact_sat_synthesize(match->canonical, n, sat_params);
+            synthesized = true;
+            if (!four_inputs) {
+                ++ctx.stats.exact_sat_synthesized;
+                ctx.stats.exact_sat_conflicts += res.conflicts;
+            }
+            if (res.status == ExactSatStatus::kFound) {
+                structure = cache.insert_wide(
+                    res.structure, WideSynthesisCost{res.conflicts, res.steps_tried});
+            } else {
+                cache.record_wide_failure(n, match->canonical, res.status,
+                                          sat_params.conflict_budget,
                                           sat_params.max_steps);
-                ++ctx.stats.exact_sat_fallbacks;
-                return std::nullopt;
             }
-            structure = cache.insert_wide(
-                res.structure, WideSynthesisCost{res.conflicts, res.steps_tried});
         }
         // Only a disk-prewarmed chain (no recorded cost) can reach the
         // gate limit: a synthesized one is capped below it.
-        if (structure->gate_count() >= gate_limit) {
-            ++ctx.stats.exact_sat_fallbacks;
-            return std::nullopt;
+        if (structure != nullptr && structure->gate_count() >= gate_limit) {
+            structure.reset();
         }
-        if (cache_hit) ++ctx.stats.exact_sat_cache_hits;
+        // Telemetry: four-input classes count as NPN-cache hits (no
+        // synthesis needed) and misses; exact_sat_* describe 5-6 inputs.
+        if (four_inputs) {
+            ++(synthesized ? ctx.stats.npn_cache_misses : ctx.stats.npn_cache_hits);
+        } else if (structure == nullptr) {
+            ++ctx.stats.exact_sat_fallbacks;
+        } else if (cache_hit) {
+            ++ctx.stats.exact_sat_cache_hits;
+        }
+        if (structure == nullptr) return std::nullopt;
         Candidate cand;
         cand.source = StrategyKind::kExactSmallCone;
-        cand.op = Candidate::Op::kExactWide;
-        cand.wide_match = *match;
-        cand.wide_structure = std::move(structure);
+        cand.op = Candidate::Op::kExact;
+        cand.match = *match;
+        cand.structure = std::move(structure);
         return cand;
     }
 };
@@ -409,12 +386,6 @@ CandidateShape shape_of(const Candidate& cand, StepContext& ctx) {
         s.exact_gates = cand.structure != nullptr ? cand.structure->gate_count() : 0;
         return s;
     }
-    if (cand.op == Candidate::Op::kExactWide) {
-        s.exact = true;
-        s.exact_gates =
-            cand.wide_structure != nullptr ? cand.wide_structure->gate_count() : 0;
-        return s;
-    }
     if (cand.op == Candidate::Op::kSymmetric) {
         // Like exact candidates, the counter network's gate count is known
         // before anything is emitted.
@@ -445,7 +416,6 @@ CandidateShape shape_of(const Candidate& cand, StepContext& ctx) {
             s.root_fanin = 4;
             break;
         case Candidate::Op::kExact:
-        case Candidate::Op::kExactWide:
         case Candidate::Op::kSymmetric:
             break;
     }
@@ -542,9 +512,9 @@ const std::vector<PresetInfo>& preset_catalog() {
         {"bds-pga",
          "the paper ladder without the majority stage (Table I baseline)"},
         {"exact-aggressive",
-         "exact structures for small cones — enumerated NPN classes up to "
-         "4 support variables, SAT-synthesized chains for 5-6 — then the "
-         "paper ladder"},
+         "exact structures for small cones — a minimum-length chain per NPN "
+         "class, cones of up to 4 support variables padded to 4 inputs, "
+         "5-6 under the SAT budget — then the paper ladder"},
         {"best-cost",
          "all strategies propose every step; the gate-count cost model "
          "picks the cheapest candidate"},

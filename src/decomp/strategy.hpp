@@ -40,8 +40,7 @@ struct EngineStats;
 
 enum class StrategyKind {
     kSymmetric,        ///< totally symmetric cones -> ones-counting MAJ network
-    kExactSmallCone,   ///< exact structures: enumerated (<= 4 vars) and
-                       ///< SAT-synthesized (5-6 vars) cones
+    kExactSmallCone,   ///< exact chains for cones of <= 6 support vars
     kMajority,         ///< paper stage 1: MAJ on top of the dominator search
     kSimpleDominator,  ///< paper stage 2: 1-/0-/x-dominators -> AND/OR/XOR
     kGeneralizedXor,   ///< paper stage 3: non-disjoint XOR split
@@ -56,21 +55,16 @@ enum class SelectionMode { kFirstFit, kBestCost };
 /// kExact, a cached replay program that covers the whole cone).
 struct Candidate {
     StrategyKind source = StrategyKind::kShannonMux;
-    enum class Op {
-        kAnd, kOr, kXor, kMaj, kMux, kExact, kExactWide, kSymmetric
-    } op = Op::kMux;
+    enum class Op { kAnd, kOr, kXor, kMaj, kMux, kExact, kSymmetric } op = Op::kMux;
     /// Recursion operands: AND/OR/XOR use {a = quotient, b = divisor};
     /// MAJ uses {a, b, c}; MUX uses {a = then-cofactor, b = else-cofactor}
     /// with `mux_var` as the select literal.
     bdd::Bdd a, b, c;
     int mux_var = -1;
-    /// kExact payload: the cone binding and the cached program.
-    ConeMatch match;
-    std::shared_ptr<const ExactStructure> structure;
-    /// kExactWide payload: the 5-6 var cone binding and its SAT-synthesized
-    /// (or cache-served) program.
-    WideConeMatch wide_match;
-    std::shared_ptr<const WideStructure> wide_structure;
+    /// kExact payload: the cone binding and its synthesized (or
+    /// cache-served) program.
+    WideConeMatch match;
+    std::shared_ptr<const WideStructure> structure;
     /// kSymmetric payload: the cone's support (manager var indices, in
     /// support order) and its ones-count value vector.
     std::vector<int> sym_vars;

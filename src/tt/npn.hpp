@@ -1,12 +1,14 @@
 #pragma once
-// NPN canonicalization of 4-variable functions (16-bit truth tables).
+// NPN canonicalization of functions of up to six variables.
 //
 // Two functions are NPN-equivalent when one can be obtained from the other
-// by Negating inputs, Permuting inputs, and/or Negating the output. The AIG
-// cut-rewriting pass matches 4-input cuts against a precomputed library of
-// optimal structures indexed by NPN class, so it needs a fast exact
-// canonicalizer plus the transform that maps a function onto its class
-// representative (and back).
+// by Negating inputs, Permuting inputs, and/or Negating the output. The
+// exact cone strategy (decomp/exact_sat.hpp) caches one program per NPN
+// class, so it needs an exact canonicalizer plus the transform that maps
+// a function onto its class representative (and back): the wide walk
+// below (npn_canonical_w), used for 4, 5 and 6 inputs. The 16-bit
+// functions first in this header apply every transform from scratch; they
+// are the plain reference the wide walk is tested against.
 
 #include <array>
 #include <cstdint>
@@ -39,8 +41,8 @@ struct NpnTransform {
 
 // ---------------------------------------------------------------------------
 // Wide NPN: up to 6 variables over 64-bit truth tables (low 2^n bits hold
-// the function; the rest must be zero for n < 6). The SAT-based exact
-// backend canonicalizes 5-6-var cone truth tables through these before
+// the function; the rest must be zero for n < 6). The exact backend
+// canonicalizes 4-6-input cone truth tables through these before
 // synthesizing or probing the class cache — n = 6 has 6! * 2^6 * 2 = 92160
 // transforms, so the canonicalizer walks them incrementally (adjacent
 // transpositions + Gray-coded negations, O(1) table updates per step)

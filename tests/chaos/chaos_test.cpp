@@ -27,6 +27,7 @@
 
 #include "benchgen/suite.hpp"
 #include "decomp/exact.hpp"
+#include "decomp/exact_sat.hpp"
 #include "flows/flows.hpp"
 #include "flows/service.hpp"
 #include "network/blif.hpp"
@@ -308,8 +309,13 @@ TEST(ChaosExactCache, LostRenameLeavesDestinationUntouchedAndTmpComplete) {
         GTEST_SKIP() << "build with -DBDSMAJ_FAULT_INJECT=ON";
     }
     decomp::ExactSynthesisCache& cache = decomp::ExactSynthesisCache::instance();
-    // Materialize something worth saving.
-    ASSERT_NE(cache.lookup(tt::npn_canonical(0x6996)), nullptr);
+    // Publish something worth saving.
+    const std::uint64_t parity = tt::npn_canonical(0x6996);
+    if (cache.lookup_wide(4, parity) == nullptr) {
+        ASSERT_NE(cache.insert_wide(decomp::exact_sat_synthesize(parity, 4).structure),
+                  nullptr);
+    }
+    ASSERT_NE(cache.lookup_wide(4, parity), nullptr);
 
     const std::string path = testing::TempDir() + "chaos_exact_cache.bin";
     const std::string tmp = path + ".tmp";

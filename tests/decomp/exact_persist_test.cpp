@@ -1,12 +1,12 @@
-// Disk persistence of the exact-synthesis NPN structure cache
+// Disk persistence of the exact-synthesis class cache
 // (ExactSynthesisCache::save_to_file / load_from_file): deterministic
-// canonical-sorted bytes, atomic write-then-rename, and a load path that
-// is tolerant of garbage (missing file, bad magic, wrong version,
-// truncation) and — critically — re-validates every entry semantically,
-// so a corrupted file can never poison synthesis results. Covers both
-// the narrow (<= 4-var) section and the version-2 wide (5-6 input,
-// SAT-synthesized) section, plus version-1 compatibility. Each test
-// clears the process-wide cache first: none depends on test order.
+// (input count, canonical)-sorted bytes, atomic write-then-rename, and a
+// load path that is tolerant of garbage (missing file, bad magic, wrong
+// or older version, truncation) and — critically — re-validates every
+// entry semantically, so a corrupted file can never poison synthesis
+// results. Covers the version-3 layout: one list of 4-, 5- and 6-input
+// programs. Each test clears the process-wide cache first: none depends
+// on test order.
 
 #include <gtest/gtest.h>
 
@@ -14,8 +14,10 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "decomp/exact.hpp"
+#include "decomp/exact_sat.hpp"
 #include "tt/npn.hpp"
 
 namespace bdsmaj::decomp {
@@ -47,46 +49,6 @@ void put_u32(std::string& out, std::uint32_t v) {
 void put_u64(std::string& out, std::uint64_t v) {
     put_u32(out, static_cast<std::uint32_t>(v & 0xffffffffu));
     put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-/// Truth table of canonical-space literal x_i over 4 variables.
-std::uint16_t literal_tt(int i) {
-    constexpr std::uint16_t kLits[4] = {0xaaaa, 0xcccc, 0xf0f0, 0xff00};
-    return kLits[i];
-}
-
-/// The literal NPN class: its canonical representative is itself a
-/// (possibly complemented) literal. Finds which, so a valid zero-gate
-/// narrow entry can be crafted for it.
-std::uint16_t narrow_literal_class(std::uint8_t* out_index, bool* out_compl) {
-    const std::uint16_t canonical = tt::npn_canonical(literal_tt(0));
-    for (int i = 0; i < 4; ++i) {
-        if (literal_tt(i) == canonical) {
-            *out_index = static_cast<std::uint8_t>(i);
-            *out_compl = false;
-            return canonical;
-        }
-        if (static_cast<std::uint16_t>(~literal_tt(i)) == canonical) {
-            *out_index = static_cast<std::uint8_t>(i);
-            *out_compl = true;
-            return canonical;
-        }
-    }
-    ADD_FAILURE() << "literal class canonical is not a literal?";
-    return canonical;
-}
-
-/// Append a valid zero-gate narrow entry for the literal class; returns
-/// the class it claims (for later lookup).
-std::uint16_t append_narrow_literal_entry(std::string& bytes) {
-    std::uint8_t idx = 0;
-    bool compl_out = false;
-    const std::uint16_t canonical = narrow_literal_class(&idx, &compl_out);
-    put_u16(bytes, canonical);
-    put_u16(bytes, 0);  // gate count
-    bytes.push_back(static_cast<char>(idx));
-    bytes.push_back(static_cast<char>(compl_out ? 1 : 0));
-    return canonical;
 }
 
 /// Serialize a wide structure exactly as save_to_file lays it out:
@@ -140,17 +102,35 @@ WideStructure wide_xor_top() {
     return s;
 }
 
-/// A well-formed file claiming one zero-gate entry: class `canonical`
-/// computed by output ref (index, complemented).
-std::string one_entry_file(std::uint16_t canonical, std::uint8_t out_index,
-                           bool out_compl) {
+/// 4-input program: a single AND(x0, x1).
+WideStructure four_and() {
+    WideStructure s;
+    s.num_inputs = 4;
+    WideGate g;
+    g.op = ExactOp::kAnd;
+    g.a = WideRef::input(0, false);
+    g.b = WideRef::input(1, false);
+    s.gates = {g};
+    s.output = WideRef::gate(0, false);
+    s.canonical = s.eval_tt();
+    return s;
+}
+
+/// 4-input zero-gate program: the literal x0.
+WideStructure four_literal() {
+    WideStructure s;
+    s.num_inputs = 4;
+    s.output = WideRef::input(0, false);
+    s.canonical = s.eval_tt();
+    return s;
+}
+
+/// A version-3 file holding `entries` in the given order.
+std::string file_of(const std::vector<WideStructure>& entries) {
     std::string bytes("BMXC");
-    put_u32(bytes, 1);  // version
-    put_u32(bytes, 1);  // count
-    put_u16(bytes, canonical);
-    put_u16(bytes, 0);  // gate count
-    bytes.push_back(static_cast<char>(out_index));
-    bytes.push_back(static_cast<char>(out_compl ? 1 : 0));
+    put_u32(bytes, 3);  // version
+    put_u32(bytes, static_cast<std::uint32_t>(entries.size()));
+    for (const WideStructure& s : entries) append_wide_structure(bytes, s);
     return bytes;
 }
 
@@ -163,9 +143,11 @@ protected:
 
 TEST_F(ExactPersist, SaveIsDeterministicAndAtomic) {
     ExactSynthesisCache& cache = ExactSynthesisCache::instance();
-    // Materialize a handful of classes in non-canonical discovery order.
+    // Publish a handful of four-input classes in non-canonical order.
     for (const std::uint16_t f : {0x6996, 0x8888, 0x1ee1, 0x0001, 0xcafe}) {
-        ASSERT_NE(cache.lookup(tt::npn_canonical(f)), nullptr);
+        const ExactSatResult res = exact_sat_synthesize(tt::npn_canonical(f), 4);
+        ASSERT_EQ(res.status, ExactSatStatus::kFound);
+        ASSERT_NE(cache.insert_wide(res.structure), nullptr);
     }
     const int classes = cache.stats().classes_cached;
     ASSERT_GT(classes, 0);
@@ -181,7 +163,7 @@ TEST_F(ExactPersist, SaveIsDeterministicAndAtomic) {
     EXPECT_FALSE(static_cast<bool>(tmp));
 
     // Reloading into the same process inserts nothing (first insert wins,
-    // every class is already materialized) and changes no count.
+    // every class is already cached) and changes no count.
     EXPECT_EQ(cache.load_from_file(p1), 0);
     EXPECT_EQ(cache.stats().classes_cached, classes);
     std::remove(p1.c_str());
@@ -189,28 +171,24 @@ TEST_F(ExactPersist, SaveIsDeterministicAndAtomic) {
 }
 
 TEST_F(ExactPersist, LoadPrewarmsAndLookupReportsHit) {
-    // Hand-craft a valid file for the literal class — this test must not
-    // materialize it first, so the load really inserts. (ctest runs each
-    // test in its own process, so the singleton starts cold here.)
+    // A crafted file prewarms a four-input class that was never
+    // synthesized here; lookup then hits with an unknown cost.
     ExactSynthesisCache& cache = ExactSynthesisCache::instance();
-    std::uint8_t idx = 0;
-    bool compl_out = false;
-    const std::uint16_t canonical = narrow_literal_class(&idx, &compl_out);
-
+    const WideStructure literal = four_literal();
     const std::string path = testing::TempDir() + "exact_persist_warm.bin";
-    write_file(path, one_entry_file(canonical, idx, compl_out));
-    const int before = cache.stats().classes_cached;
+    write_file(path, file_of({literal}));
     EXPECT_EQ(cache.load_from_file(path), 1);
-    EXPECT_EQ(cache.stats().classes_cached, before + 1);
+    EXPECT_EQ(cache.stats().classes_cached, 1);
     // Loading again: first insert wins.
     EXPECT_EQ(cache.load_from_file(path), 0);
 
-    bool was_hit = false;
-    const auto s = cache.lookup(canonical, &was_hit);
-    ASSERT_NE(s, nullptr);
-    EXPECT_TRUE(was_hit) << "pre-warmed class should hit, not re-enumerate";
+    WideSynthesisCost cost{7, 7};
+    const auto s = cache.lookup_wide(4, literal.canonical, &cost);
+    ASSERT_NE(s, nullptr) << "pre-warmed class should hit, not re-synthesize";
+    EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(s->gate_count(), 0);
-    EXPECT_EQ(s->eval_tt(), canonical);
+    EXPECT_EQ(s->eval_tt(), literal.canonical);
+    EXPECT_EQ(cost.conflicts, -1) << "prewarmed entries carry no cost";
     std::remove(path.c_str());
 }
 
@@ -222,8 +200,10 @@ TEST_F(ExactPersist, GarbageFilesLoadNothing) {
     std::remove(path.c_str());
     EXPECT_EQ(cache.load_from_file(path), 0);
 
-    // Bad magic.
-    write_file(path, "NOPE\x01\x00\x00\x00\x00\x00\x00\x00");
+    // Bad magic, and a file shorter than the magic.
+    write_file(path, "NOPE\x03\x00\x00\x00\x00\x00\x00\x00");
+    EXPECT_EQ(cache.load_from_file(path), 0);
+    write_file(path, "BM");
     EXPECT_EQ(cache.load_from_file(path), 0);
 
     // Unknown version.
@@ -238,76 +218,71 @@ TEST_F(ExactPersist, GarbageFilesLoadNothing) {
     // Truncated mid-entry: header promises one entry, payload ends early.
     {
         std::string bytes("BMXC");
+        put_u32(bytes, 3);
         put_u32(bytes, 1);
-        put_u32(bytes, 1);
-        put_u16(bytes, 0x1234);  // canonical, then nothing else
+        bytes.push_back(4);  // num_inputs, then nothing else
         write_file(path, bytes);
         EXPECT_EQ(cache.load_from_file(path), 0);
     }
+    EXPECT_EQ(cache.stats().classes_cached, 0);
     std::remove(path.c_str());
 }
 
 TEST_F(ExactPersist, SemanticallyCorruptEntriesAreSkipped) {
     // A well-framed entry whose program does NOT compute its claimed
     // class: claim the parity class but supply a bare literal. The
-    // eval_tt() re-validation must reject it — and a later lookup must
-    // still produce a correct structure from enumeration.
+    // eval_tt() re-validation must reject it.
     ExactSynthesisCache& cache = ExactSynthesisCache::instance();
     const std::uint16_t parity = tt::npn_canonical(0x6996);
-    ASSERT_NE(parity, literal_tt(0));
+    WideStructure lying = four_literal();
+    ASSERT_NE(parity, lying.canonical);
+    lying.canonical = parity;
     const std::string path = testing::TempDir() + "exact_persist_corrupt.bin";
-    write_file(path, one_entry_file(parity, /*out_index=*/0, /*out_compl=*/false));
-    const int before = cache.stats().classes_cached;
+    write_file(path, file_of({lying}));
     EXPECT_EQ(cache.load_from_file(path), 0) << "lying entry must be skipped";
-    EXPECT_EQ(cache.stats().classes_cached, before);
 
     // Structurally invalid too: an output ref into a nonexistent gate.
-    write_file(path, one_entry_file(parity, /*out_index=*/7, /*out_compl=*/false));
+    WideStructure dangling = four_literal();
+    dangling.output = WideRef::gate(1, false);
+    write_file(path, file_of({dangling}));
     EXPECT_EQ(cache.load_from_file(path), 0);
 
-    const auto s = cache.lookup(parity);
-    ASSERT_NE(s, nullptr);
-    // The lying entry was a bare zero-gate literal; the genuine parity
-    // structure needs real gates. Serving gates > 0 proves the rejected
-    // entry never made it into the cache.
-    EXPECT_GT(s->gate_count(), 0);
-    EXPECT_EQ(s->eval_tt(), parity);
+    EXPECT_EQ(cache.stats().classes_cached, 0);
+    EXPECT_EQ(cache.lookup_wide(4, parity), nullptr);
     std::remove(path.c_str());
 }
 
 TEST_F(ExactPersist, WideEntriesRoundTripThroughDisk) {
-    // Hand-craft a version-2 file with an empty narrow section and one
-    // wide entry, load it cold, and prove lookup_wide serves it. Then
-    // save: the writer must reproduce the crafted bytes exactly (the
-    // format is canonical — same class set, same bytes), which pins the
-    // full load→save round trip in one process.
+    // Hand-craft a version-3 file with one entry per input count, load it
+    // cold, and prove lookup_wide serves each. Then save: the writer must
+    // reproduce the crafted bytes exactly (the format is canonical — same
+    // class set, same bytes), which pins the full load→save round trip.
     ExactSynthesisCache& cache = ExactSynthesisCache::instance();
-    const WideStructure wide = wide_maj_of_and();
-
-    std::string bytes("BMXC");
-    put_u32(bytes, 2);  // version
-    put_u32(bytes, 0);  // narrow count
-    put_u32(bytes, 1);  // wide count
-    append_wide_structure(bytes, wide);
+    const std::vector<WideStructure> entries = {four_and(), wide_maj_of_and(),
+                                                wide_xor_top()};
+    const std::string bytes = file_of(entries);
 
     const std::string path = testing::TempDir() + "exact_persist_wide.bin";
     write_file(path, bytes);
-    EXPECT_EQ(cache.load_from_file(path), 1);
-    EXPECT_EQ(cache.stats().wide_classes_cached, 1);
+    EXPECT_EQ(cache.load_from_file(path), 3);
+    EXPECT_EQ(cache.stats().classes_cached, 3);
 
-    const auto s = cache.lookup_wide(5, wide.canonical);
-    ASSERT_NE(s, nullptr);
-    EXPECT_EQ(s->num_inputs, 5);
-    EXPECT_EQ(s->gate_count(), 2);
-    EXPECT_EQ(s->eval_tt(), wide.canonical);
-    // Wide classes are keyed per input count: the 6-input map is empty.
-    EXPECT_EQ(cache.lookup_wide(6, wide.canonical), nullptr);
+    for (const WideStructure& w : entries) {
+        const auto s = cache.lookup_wide(w.num_inputs, w.canonical);
+        ASSERT_NE(s, nullptr) << int{w.num_inputs};
+        EXPECT_EQ(s->num_inputs, w.num_inputs);
+        EXPECT_EQ(s->gate_count(), w.gate_count());
+        EXPECT_EQ(s->eval_tt(), w.canonical);
+    }
+    // Classes are keyed per input count: the 6-input map does not hold
+    // the 5-input class.
+    EXPECT_EQ(cache.lookup_wide(6, wide_maj_of_and().canonical), nullptr);
 
     // First insert wins: reloading the same file inserts nothing.
     EXPECT_EQ(cache.load_from_file(path), 0);
 
     const std::string out = testing::TempDir() + "exact_persist_wide_out.bin";
-    EXPECT_EQ(cache.save_to_file(out), 1);
+    EXPECT_EQ(cache.save_to_file(out), 3);
     EXPECT_EQ(read_file(out), bytes);
     std::remove(path.c_str());
     std::remove(out.c_str());
@@ -320,8 +295,10 @@ TEST_F(ExactPersist, WideSaveIsSortedDeterministicAndSkipsFailures) {
     ExactSynthesisCache& cache = ExactSynthesisCache::instance();
     const WideStructure six = wide_xor_top();
     const WideStructure five = wide_maj_of_and();
+    const WideStructure four = four_and();
     ASSERT_NE(cache.insert_wide(std::make_shared<WideStructure>(six)), nullptr);
     ASSERT_NE(cache.insert_wide(std::make_shared<WideStructure>(five)), nullptr);
+    ASSERT_NE(cache.insert_wide(std::make_shared<WideStructure>(four)), nullptr);
 
     // First insert wins: publishing a different program for an already
     // cached class returns the original copy.
@@ -333,19 +310,14 @@ TEST_F(ExactPersist, WideSaveIsSortedDeterministicAndSkipsFailures) {
 
     cache.record_wide_failure(5, 0x123456789ULL & 0xffffffffULL,
                               ExactSatStatus::kUnknown, 10000, 8);
-    ASSERT_EQ(cache.stats().wide_failures_recorded, 1);
+    cache.record_wide_failure(4, 0x1ee1, ExactSatStatus::kUnsat, 100000, 2);
+    ASSERT_EQ(cache.stats().failures_recorded, 2);
 
-    std::string expected("BMXC");
-    put_u32(expected, 2);  // version
-    put_u32(expected, 0);  // narrow count
-    put_u32(expected, 2);  // wide count: 5-input entry sorts first
-    append_wide_structure(expected, five);
-    append_wide_structure(expected, six);
-
+    const std::string expected = file_of({four, five, six});
     const std::string p1 = testing::TempDir() + "exact_persist_wide_s1.bin";
     const std::string p2 = testing::TempDir() + "exact_persist_wide_s2.bin";
-    EXPECT_EQ(cache.save_to_file(p1), 2);
-    EXPECT_EQ(cache.save_to_file(p2), 2);
+    EXPECT_EQ(cache.save_to_file(p1), 3);
+    EXPECT_EQ(cache.save_to_file(p2), 3);
     EXPECT_EQ(read_file(p1), expected);
     EXPECT_EQ(read_file(p1), read_file(p2));
     std::remove(p1.c_str());
@@ -353,89 +325,69 @@ TEST_F(ExactPersist, WideSaveIsSortedDeterministicAndSkipsFailures) {
 }
 
 TEST_F(ExactPersist, CorruptWideEntriesAreSkippedNarrowStillLoads) {
-    // A version-2 file whose narrow section is healthy but whose wide
-    // section is a parade of well-framed lies. Every wide entry must be
-    // rejected — semantically (claims a class its program does not
-    // compute) or structurally — while the narrow entry loads fine.
+    // A file whose four-input entry is healthy but whose wider entries
+    // are a parade of well-framed lies. Every lie must be rejected —
+    // semantically (claims a class its program does not compute) or
+    // structurally — while the healthy entry loads fine.
     ExactSynthesisCache& cache = ExactSynthesisCache::instance();
-
-    std::string bytes("BMXC");
-    put_u32(bytes, 2);  // version
-    put_u32(bytes, 1);  // narrow count
-    const std::uint16_t narrow_class = append_narrow_literal_entry(bytes);
-    put_u32(bytes, 4);  // wide count
-
+    std::vector<WideStructure> entries = {four_and()};
     // (1) Lying canonical: program computes c, entry claims c ^ 1.
-    WideStructure lying = wide_maj_of_and();
-    lying.canonical ^= 1;
-    append_wide_structure(bytes, lying);
-    // (2) Bad input count (7 is not a wide arity).
-    WideStructure bad_n = wide_maj_of_and();
-    bad_n.num_inputs = 7;
-    append_wide_structure(bytes, bad_n);
+    entries.push_back(wide_maj_of_and());
+    entries.back().canonical ^= 1;
+    // (2) Bad input counts: 7 is too wide, 3 too narrow.
+    entries.push_back(wide_maj_of_and());
+    entries.back().num_inputs = 7;
+    entries.push_back(four_and());
+    entries.back().num_inputs = 3;
     // (3) Forward gate reference: gate 0 reading gate 0's own output.
-    WideStructure fwd = wide_xor_top();
-    fwd.gates[0].a = WideRef::gate(0, false);
-    append_wide_structure(bytes, fwd);
+    entries.push_back(wide_xor_top());
+    entries.back().gates[0].a = WideRef::gate(0, false);
     // (4) Canonical with bits above the 2^5-bit mask for a 5-input class.
-    WideStructure high_bits = wide_maj_of_and();
-    high_bits.canonical |= 1ULL << 40;
-    append_wide_structure(bytes, high_bits);
+    entries.push_back(wide_maj_of_and());
+    entries.back().canonical |= 1ULL << 40;
+    // (5) An input ref beyond the class's input count.
+    entries.push_back(four_and());
+    entries.back().gates[0].b = WideRef::input(4, false);
 
     const std::string path = testing::TempDir() + "exact_persist_wide_bad.bin";
-    write_file(path, bytes);
-    EXPECT_EQ(cache.load_from_file(path), 1) << "narrow only";
-    EXPECT_EQ(cache.stats().wide_classes_cached, 0);
+    write_file(path, file_of(entries));
+    EXPECT_EQ(cache.load_from_file(path), 1) << "the healthy entry only";
+    EXPECT_EQ(cache.stats().classes_cached, 1);
     EXPECT_EQ(cache.lookup_wide(5, wide_maj_of_and().canonical), nullptr);
 
-    bool was_hit = false;
-    const auto narrow = cache.lookup(narrow_class, &was_hit);
-    ASSERT_NE(narrow, nullptr);
-    EXPECT_TRUE(was_hit);
-    EXPECT_EQ(narrow->eval_tt(), narrow_class);
+    const auto four = cache.lookup_wide(4, four_and().canonical);
+    ASSERT_NE(four, nullptr);
+    EXPECT_EQ(four->eval_tt(), four_and().canonical);
     std::remove(path.c_str());
 }
 
 TEST_F(ExactPersist, TruncatedWideSectionKeepsNarrowEntries) {
-    // Wide-section truncation is not contagious: the narrow entries that
-    // parsed before the cut still load.
+    // Truncation is not contagious: the entries that parsed before the
+    // cut still load.
     ExactSynthesisCache& cache = ExactSynthesisCache::instance();
     const std::string path = testing::TempDir() + "exact_persist_wide_trunc.bin";
 
-    // Version-2 file that ends before the wide count entirely.
-    std::string no_count("BMXC");
-    put_u32(no_count, 2);
-    put_u32(no_count, 1);
-    append_narrow_literal_entry(no_count);
-    write_file(path, no_count);
+    // The count promises two entries; the second stops mid-header.
+    std::string bytes("BMXC");
+    put_u32(bytes, 3);
+    put_u32(bytes, 2);
+    append_wide_structure(bytes, four_and());
+    bytes.push_back(5);  // num_inputs, then nothing
+    write_file(path, bytes);
     EXPECT_EQ(cache.load_from_file(path), 1);
-    EXPECT_EQ(cache.stats().wide_classes_cached, 0);
-
-    // Wide count promises an entry but the payload stops mid-header.
-    std::string mid_entry = no_count;
-    put_u32(mid_entry, 1);
-    mid_entry.push_back(5);  // num_inputs, then nothing
-    write_file(path, mid_entry);
-    EXPECT_EQ(cache.load_from_file(path), 0) << "narrow already cached";
-    EXPECT_EQ(cache.stats().wide_classes_cached, 0);
+    EXPECT_EQ(cache.stats().classes_cached, 1);
+    EXPECT_NE(cache.lookup_wide(4, four_and().canonical), nullptr);
     std::remove(path.c_str());
 }
 
 TEST_F(ExactPersist, TruncationSweepNeverCrashesOrLies) {
-    // Torn-file drill: every prefix of a valid version-2 file must load
-    // without crashing, and anything it does accept must be semantically
-    // valid (the zero-trust re-validation). ctest runs this test in its
-    // own process, so the singleton starts cold and real inserts happen.
+    // Torn-file drill: every prefix of a valid file must load without
+    // crashing, and anything it does accept must be semantically valid
+    // (the zero-trust re-validation).
     ExactSynthesisCache& cache = ExactSynthesisCache::instance();
-    std::string bytes("BMXC");
-    put_u32(bytes, 2);  // version
-    put_u32(bytes, 1);  // narrow count
-    const std::uint16_t narrow_class = append_narrow_literal_entry(bytes);
-    put_u32(bytes, 2);  // wide count
-    const WideStructure five = wide_maj_of_and();
-    const WideStructure six = wide_xor_top();
-    append_wide_structure(bytes, five);
-    append_wide_structure(bytes, six);
+    const std::vector<WideStructure> entries = {four_and(), wide_maj_of_and(),
+                                                wide_xor_top()};
+    const std::string bytes = file_of(entries);
 
     const std::string path = testing::TempDir() + "exact_persist_cut.bin";
     for (std::size_t n = 0; n <= bytes.size(); ++n) {
@@ -444,35 +396,26 @@ TEST_F(ExactPersist, TruncationSweepNeverCrashesOrLies) {
         EXPECT_GE(loaded, 0) << "cut at " << n;
         EXPECT_LE(loaded, 3) << "cut at " << n;
     }
-    // Whatever partial states loaded along the way, anything served must
-    // compute its class.
-    for (const WideStructure& w : {five, six}) {
-        if (const auto s = cache.lookup_wide(w.num_inputs, w.canonical)) {
-            EXPECT_EQ(s->eval_tt(), w.canonical);
-        }
+    // The full file loaded last, so every entry is in; anything served
+    // must compute its class.
+    for (const WideStructure& w : entries) {
+        const auto s = cache.lookup_wide(w.num_inputs, w.canonical);
+        ASSERT_NE(s, nullptr);
+        EXPECT_EQ(s->eval_tt(), w.canonical);
     }
-    const auto narrow = cache.lookup(narrow_class);
-    ASSERT_NE(narrow, nullptr);
-    EXPECT_EQ(narrow->eval_tt(), narrow_class);
     std::remove(path.c_str());
 }
 
 TEST_F(ExactPersist, BitFlipSweepNeverServesWrongProgram) {
-    // Corruption drill: flip every bit of a valid version-2 file, one at a
-    // time, and load each mutant. No mutant may crash the loader, and no
-    // mutant may plant a program that does not compute the class it is
-    // filed under — a wrong cached program would silently corrupt every
-    // later synthesis that hits it, the one unrecoverable failure mode.
+    // Corruption drill: flip every bit of a valid file, one at a time, and
+    // load each mutant. No mutant may crash the loader, and no mutant may
+    // plant a program that does not compute the class it is filed under —
+    // a wrong cached program would silently corrupt every later synthesis
+    // that hits it, the one unrecoverable failure mode.
     ExactSynthesisCache& cache = ExactSynthesisCache::instance();
-    std::string bytes("BMXC");
-    put_u32(bytes, 2);
-    put_u32(bytes, 1);
-    const std::uint16_t narrow_class = append_narrow_literal_entry(bytes);
-    put_u32(bytes, 2);
-    const WideStructure five = wide_maj_of_and();
-    const WideStructure six = wide_xor_top();
-    append_wide_structure(bytes, five);
-    append_wide_structure(bytes, six);
+    const std::vector<WideStructure> entries = {four_and(), wide_maj_of_and(),
+                                                wide_xor_top()};
+    const std::string bytes = file_of(entries);
 
     const std::string path = testing::TempDir() + "exact_persist_flip.bin";
     for (std::size_t byte = 0; byte < bytes.size(); ++byte) {
@@ -484,42 +427,41 @@ TEST_F(ExactPersist, BitFlipSweepNeverServesWrongProgram) {
         }
     }
     // A flipped canonical and a flipped program can never agree (the
-    // loader re-evaluates), so every wide class now cached must be honest.
-    for (int n = 5; n <= 6; ++n) {
-        for (const WideStructure& w : {five, six}) {
+    // loader re-evaluates), so every class now cached must be honest.
+    for (int n = 4; n <= 6; ++n) {
+        for (const WideStructure& w : entries) {
             if (const auto s = cache.lookup_wide(n, w.canonical)) {
                 EXPECT_EQ(s->num_inputs, n);
                 EXPECT_EQ(s->eval_tt(), w.canonical);
             }
         }
     }
-    bool was_hit = false;
-    const auto narrow = cache.lookup(narrow_class, &was_hit);
-    ASSERT_NE(narrow, nullptr);
-    EXPECT_EQ(narrow->eval_tt(), narrow_class);
     std::remove(path.c_str());
 }
 
-TEST_F(ExactPersist, VersionOneFilesLoadNarrowOnly) {
-    // Legacy narrow-only files keep loading, and nothing after the
-    // narrow section is ever interpreted as wide data under version 1.
+TEST_F(ExactPersist, OlderVersionsLoadNothing) {
+    // Versions 1 and 2 kept a separate 16-bit section for <= 4 inputs;
+    // they are unknown versions now, and nothing in them is interpreted.
     ExactSynthesisCache& cache = ExactSynthesisCache::instance();
-    std::uint8_t idx = 0;
-    bool compl_out = false;
-    const std::uint16_t canonical = narrow_literal_class(&idx, &compl_out);
+    const WideStructure literal = four_literal();
+    std::string v1("BMXC");
+    put_u32(v1, 1);  // version
+    put_u32(v1, 1);  // narrow count
+    put_u16(v1, static_cast<std::uint16_t>(literal.canonical));
+    put_u16(v1, 0);  // gate count
+    v1.push_back(0);  // output: input 0, uncomplemented
+    v1.push_back(0);
+    std::string v2 = v1;
+    v2[4] = 2;
+    put_u32(v2, 1);  // wide count
+    append_wide_structure(v2, wide_maj_of_and());
 
-    std::string bytes = one_entry_file(canonical, idx, compl_out);
-    // Trailing bytes that would be a plausible wide section — a v1
-    // reader must ignore them.
-    put_u32(bytes, 1);
-    append_wide_structure(bytes, wide_maj_of_and());
-
-    const std::string path = testing::TempDir() + "exact_persist_v1.bin";
-    write_file(path, bytes);
-    EXPECT_EQ(cache.load_from_file(path), 1);
-    EXPECT_EQ(cache.stats().classes_cached, 1);
-    EXPECT_EQ(cache.stats().wide_classes_cached, 0);
-    EXPECT_EQ(cache.lookup_wide(5, wide_maj_of_and().canonical), nullptr);
+    const std::string path = testing::TempDir() + "exact_persist_old.bin";
+    for (const std::string& bytes : {v1, v2}) {
+        write_file(path, bytes);
+        EXPECT_EQ(cache.load_from_file(path), 0);
+    }
+    EXPECT_EQ(cache.stats().classes_cached, 0);
     std::remove(path.c_str());
 }
 

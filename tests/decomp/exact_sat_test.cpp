@@ -1,6 +1,6 @@
 // SAT-based exact synthesis of 5-6 input chains: encoding soundness
-// (exhaustive at 3 vars), known-function gate counts, fence-mode
-// completeness, budget-exhaustion behavior (clean kUnknown, nothing
+// (exhaustive at 3 vars), known-function gate counts, the step-cap and
+// budget contracts, budget-exhaustion behavior (clean kUnknown, nothing
 // partial), determinism, the wide cone match/emit path against network
 // simulation, and the wide class cache semantics.
 
@@ -107,20 +107,6 @@ TEST(ExactSat, KnownFiveVariableFunctions) {
 
     // Parity-5: four fanin-2 XOR steps (XOR-3 is not a one-gate table).
     res = exact_sat_synthesize(parity_tt(5), 5);
-    ASSERT_EQ(res.status, ExactSatStatus::kFound);
-    EXPECT_EQ(res.structure->eval_tt(), parity_tt(5));
-    EXPECT_EQ(res.structure->gate_count(), 4);
-}
-
-TEST(ExactSat, FenceModeFindsTheSamePrograms) {
-    // Forcing fences from chain length 2 exercises the composition
-    // enumeration and its per-fence solvers; results must stay correct
-    // and minimal (parity-5 is 4 gates in any complete mode). The CDCL
-    // search runs from the fanin floor here: exact_sat_synthesize decides
-    // four-step chains without it.
-    ExactSatParams params;
-    params.fence_min_steps = 2;
-    const ExactSatResult res = detail::cdcl_chain_search(parity_tt(5), 5, params, 1);
     ASSERT_EQ(res.status, ExactSatStatus::kFound);
     EXPECT_EQ(res.structure->eval_tt(), parity_tt(5));
     EXPECT_EQ(res.structure->gate_count(), 4);
@@ -353,18 +339,16 @@ TEST(ExactSat, WideCacheInsertLookupAndNegativeEntries) {
     ASSERT_EQ(again.status, ExactSatStatus::kFound);
     EXPECT_EQ(cache.insert_wide(again.structure).get(), published.get());
 
-    EXPECT_GE(cache.stats().wide_classes_cached, 1);
-    EXPECT_GE(cache.stats().wide_hits, 1u);
+    EXPECT_GE(cache.stats().classes_cached, 1);
+    EXPECT_GE(cache.stats().hits, 1u);
 }
 
 /// Classes with a known minimum chain length r*, for the cap contract the
-/// strategy's incumbent bound relies on. `fence_min_steps` 3 moves the
-/// search into the per-fence solvers.
+/// strategy's incumbent bound relies on.
 struct MinChain {
     const char* name;
     std::uint64_t tt;
     int inputs;
-    int fence_min_steps;
     int min_steps;
 };
 
@@ -381,22 +365,20 @@ std::vector<MinChain> min_chain_classes() {
     const std::uint64_t m5 = mask_of(5);
     const std::uint64_t mux_tree6 = (x0 & (x1 ^ x2)) | (~x0 & maj(x3, x4, x5));
     return {
-        {"maj5", maj5_tt(), 5, 6, 4},
-        {"parity5", parity_tt(5), 5, 6, 4},
-        {"and5", x0 & x1 & x2 & x3 & x4 & m5, 5, 6, 4},
-        {"maj_of_maj", maj(maj(x0, x1, x2), x3, x4) & m5, 5, 6, 2},
-        {"maj_with_parity", maj(x0, x1, x2 ^ x3 ^ x4) & m5, 5, 6, 3},
-        {"parity6", parity_tt(6), 6, 6, 5},
-        {"mux_tree6", mux_tree6, 6, 6, 3},
-        {"maj_xor_maj6", maj(x0, x1, x2) ^ maj(x3, x4, x5), 6, 6, 3},
-        {"parity5_fences", parity_tt(5), 5, 3, 4},
-        {"mux_tree6_fences", mux_tree6, 6, 3, 3},
+        {"maj5", maj5_tt(), 5, 4},
+        {"parity5", parity_tt(5), 5, 4},
+        {"and5", x0 & x1 & x2 & x3 & x4 & m5, 5, 4},
+        {"maj_of_maj", maj(maj(x0, x1, x2), x3, x4) & m5, 5, 2},
+        {"maj_with_parity", maj(x0, x1, x2 ^ x3 ^ x4) & m5, 5, 3},
+        {"parity6", parity_tt(6), 6, 5},
+        {"mux_tree6", mux_tree6, 6, 3},
+        {"maj_xor_maj6", maj(x0, x1, x2) ^ maj(x3, x4, x5), 6, 3},
     };
 }
 
 /// The two searches the cap and budget contracts hold for: the full
 /// synthesis (short chains decided, CDCL from five steps) and the CDCL
-/// search alone from the fanin floor, which the fence cases exercise.
+/// search alone from the fanin floor.
 enum class Search { kSynthesize, kCdclOnly };
 
 ExactSatResult run_search(Search search, const MinChain& c, const ExactSatParams& params) {
@@ -416,7 +398,6 @@ TEST(ExactSat, CappingAtTheMinimumChainLengthChangesNothing) {
         SCOPED_TRACE(search == Search::kSynthesize ? "synthesize" : "cdcl only");
         ExactSatParams uncapped;
         uncapped.max_steps = 8;
-        uncapped.fence_min_steps = c.fence_min_steps;
         const ExactSatResult full = run_search(search, c, uncapped);
         ASSERT_EQ(full.status, ExactSatStatus::kFound);
         EXPECT_EQ(full.structure->gate_count(), c.min_steps);
@@ -452,7 +433,6 @@ TEST(ExactSat, CachedChainIsReproducedOnlyAboveItsConflicts) {
         SCOPED_TRACE(c.name);
         SCOPED_TRACE(search == Search::kSynthesize ? "synthesize" : "cdcl only");
         ExactSatParams params;
-        params.fence_min_steps = c.fence_min_steps;
         const ExactSatResult full = run_search(search, c, params);
         ASSERT_EQ(full.status, ExactSatStatus::kFound);
         if (search == Search::kCdclOnly || c.min_steps > detail::kDecidedSteps) {

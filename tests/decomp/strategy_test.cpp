@@ -178,11 +178,12 @@ TEST(Strategy, ExactAggressiveStrictlyReducesMappedGates) {
 }
 
 TEST(Strategy, NpnCacheHitPathEqualsEnumerationPath) {
-    // Two identical runs: whatever mix of misses (first touch) and hits
-    // (cache already warm) each run sees, the emitted networks must be
-    // byte-identical — the cached program IS the enumerated program.
-    // The cone cache must be off here: with it on, the second run would
-    // replay cached tapes and never touch the NPN cache at all.
+    // Two identical runs: whatever mix of misses (first touch: the class
+    // is synthesized) and hits (cache already warm) each run sees, the
+    // emitted networks must be byte-identical — the cached program IS the
+    // synthesized program. The cone cache must be off here: with it on,
+    // the second run would replay cached tapes and never touch the class
+    // cache at all.
     const Network input = benchgen::benchmark_by_name("f51m", /*quick=*/true);
     const auto run_uncached = [&input](const std::string& preset) {
         DecompFlowParams params;
@@ -194,7 +195,8 @@ TEST(Strategy, NpnCacheHitPathEqualsEnumerationPath) {
     const DecompFlowResult second = run_uncached("exact-aggressive");
     EXPECT_EQ(net::write_blif(first.network), net::write_blif(second.network));
     EXPECT_EQ(first.engine_stats.exact_steps, second.engine_stats.exact_steps);
-    // The second run touches only classes the first already materialized.
+    // The second run touches only classes the first already synthesized
+    // (or proved chain-free under the same step cap).
     EXPECT_EQ(second.engine_stats.npn_cache_misses, 0);
     EXPECT_EQ(second.engine_stats.npn_cache_hits,
               first.engine_stats.npn_cache_hits +

@@ -48,7 +48,6 @@ struct ExactCase {
     const char* name;
     std::uint64_t tt;
     int inputs;
-    int fence_min_steps;
     long long budget;
     decomp::ExactSatStatus status;
     long long conflicts;
@@ -76,38 +75,33 @@ std::uint64_t maj5_tt() {
 }
 
 /// The minimum-chain classes of ExactSat.CappingAtTheMinimumChainLength-
-/// ChangesNothing (two again in fence mode), plus one 6-input function
-/// that exhausts a 10000-conflict budget: the only case long enough to
-/// exercise restarts deep into the Luby sequence and learned-clause
-/// database reductions.
+/// ChangesNothing, plus one 6-input function that exhausts a 10000-conflict
+/// budget: the only case long enough to exercise restarts deep into the
+/// Luby sequence and learned-clause database reductions.
 std::vector<ExactCase> exact_cases() {
     using decomp::ExactSatStatus;
     const std::uint64_t mux_tree6 = (x0 & (x1 ^ x2)) | (~x0 & maj(x3, x4, x5));
     return {
-        {"maj5", maj5_tt(), 5, 6, 10000, ExactSatStatus::kFound, 5502,
+        {"maj5", maj5_tt(), 5, 10000, ExactSatStatus::kFound, 5502,
          {5502, 9910, 108922, 21, 5502, 81490, 31296, 1}},
-        {"parity5", parity_tt(5), 5, 6, 10000, ExactSatStatus::kFound, 743,
+        {"parity5", parity_tt(5), 5, 10000, ExactSatStatus::kFound, 743,
          {743, 1650, 12518, 2, 743, 8924, 3813, 0}},
-        {"and5", x0 & x1 & x2 & x3 & x4 & kMask5, 5, 6, 10000, ExactSatStatus::kFound, 3410,
+        {"and5", x0 & x1 & x2 & x3 & x4 & kMask5, 5, 10000, ExactSatStatus::kFound, 3410,
          {3410, 6390, 73643, 13, 3410, 51224, 14555, 0}},
-        {"maj_of_maj", maj(maj(x0, x1, x2), x3, x4) & kMask5, 5, 6, 10000,
+        {"maj_of_maj", maj(maj(x0, x1, x2), x3, x4) & kMask5, 5, 10000,
          ExactSatStatus::kFound, 64,
          {64, 401, 1343, 0, 64, 635, 125, 0}},
-        {"maj_with_parity", maj(x0, x1, x2 ^ x3 ^ x4) & kMask5, 5, 6, 10000,
+        {"maj_with_parity", maj(x0, x1, x2 ^ x3 ^ x4) & kMask5, 5, 10000,
          ExactSatStatus::kFound, 1412,
          {1412, 2657, 25295, 6, 1412, 17994, 6806, 0}},
-        {"parity6", parity_tt(6), 6, 6, 10000, ExactSatStatus::kFound, 3962,
+        {"parity6", parity_tt(6), 6, 10000, ExactSatStatus::kFound, 3962,
          {3962, 7237, 117657, 14, 3962, 86791, 57713, 0}},
-        {"mux_tree6", mux_tree6, 6, 6, 10000, ExactSatStatus::kFound, 1218,
+        {"mux_tree6", mux_tree6, 6, 10000, ExactSatStatus::kFound, 1218,
          {1218, 3563, 29288, 5, 1218, 21533, 6629, 0}},
-        {"maj_xor_maj6", maj(x0, x1, x2) ^ maj(x3, x4, x5), 6, 6, 10000,
+        {"maj_xor_maj6", maj(x0, x1, x2) ^ maj(x3, x4, x5), 6, 10000,
          ExactSatStatus::kFound, 243,
          {243, 1523, 6915, 0, 243, 4598, 865, 0}},
-        {"parity5_fences", parity_tt(5), 5, 3, 10000, ExactSatStatus::kFound, 1744,
-         {1744, 3307, 31608, 7, 1741, 13781, 4547, 0}},
-        {"mux_tree6_fences", mux_tree6, 6, 3, 10000, ExactSatStatus::kFound, 564,
-         {564, 1877, 13048, 2, 564, 6640, 2203, 0}},
-        {"hard6_budget", 0x9e3779b97f4a7c15ULL, 6, 6, 10000, ExactSatStatus::kUnknown, 10002,
+        {"hard6_budget", 0x9e3779b97f4a7c15ULL, 6, 10000, ExactSatStatus::kUnknown, 10002,
          {10002, 20850, 261582, 30, 10002, 239896, 105230, 3}},
     };
 }
@@ -118,7 +112,6 @@ TEST(SolverTrajectory, ExactChainSynthesisCountersArePinned) {
         decomp::ExactSatParams params;
         params.conflict_budget = c.budget;
         params.max_steps = 8;
-        params.fence_min_steps = c.fence_min_steps;
         // The CDCL search from the fanin floor: exact_sat_synthesize runs
         // this loop from five steps, after deciding shorter chains.
         const decomp::ExactSatResult res =

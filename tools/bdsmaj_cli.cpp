@@ -99,15 +99,17 @@ void print_help(std::FILE* to) {
         "  --iterations N               balancing iteration limit\n"
         "\n"
         "exact synthesis (the exact-* presets):\n"
-        "  --exact-max-support N        widest cone served exactly, 0-6: <= 4 uses\n"
-        "                               the enumerated NPN classes, 5-6 engage the\n"
-        "                               on-demand chain synthesis (default 6)\n"
-        "  --exact-sat-budget N         CDCL conflict budget per cone class for\n"
-        "                               chains of 5 or more steps; shorter chains\n"
-        "                               are decided without conflicts (default\n"
-        "                               10000; 0 disables wide chain synthesis,\n"
-        "                               exhaustion falls back to the heuristic\n"
-        "                               ladder)\n"
+        "  --exact-max-support N        widest cone served exactly, 0-6: cones of\n"
+        "                               <= 4 support variables are served as\n"
+        "                               4-input classes, 5-6 under the SAT budget;\n"
+        "                               every class gets a minimum-length chain\n"
+        "                               (default 6)\n"
+        "  --exact-sat-budget N         CDCL conflict budget per 5-6-input cone\n"
+        "                               class for chains of 5 or more steps;\n"
+        "                               shorter chains are decided without\n"
+        "                               conflicts (default 10000; 0 disables 5-6\n"
+        "                               input cones, exhaustion falls back to the\n"
+        "                               heuristic ladder)\n"
         "  --exact-sat-steps N          longest SAT chain tried per class (default 8)\n"
         "  --exact-cache FILE           warm-start the exact-synthesis cache from\n"
         "                               FILE at startup (tolerant: a missing or\n"
@@ -280,18 +282,16 @@ void print_result(const net::Network& input, const flows::SynthesisResult& resul
                 job_seconds, verify ? (equivalent ? " [verified]" : " [MISMATCH]") : "");
 }
 
-/// Process-wide memoization summary (cone tape cache + exact NPN cache),
+/// Process-wide memoization summary (cone tape cache + exact class cache),
 /// shared by the single and batch paths.
 void print_cache_summary() {
     const decomp::ConeCacheStats cone = decomp::ConeCache::instance().stats();
     const decomp::ExactCacheStats exact = decomp::ExactSynthesisCache::instance().stats();
     std::printf("caches: cone hits=%lld misses=%lld evictions=%lld entries=%lld "
-                "bytes=%lld | exact hits=%llu misses=%llu classes=%d "
-                "wide-classes=%d\n",
+                "bytes=%lld | exact hits=%llu misses=%llu classes=%d\n",
                 cone.hits, cone.misses, cone.evictions, cone.entries, cone.bytes,
                 static_cast<unsigned long long>(exact.hits),
-                static_cast<unsigned long long>(exact.misses), exact.classes_cached,
-                exact.wide_classes_cached);
+                static_cast<unsigned long long>(exact.misses), exact.classes_cached);
 }
 
 /// --exact-cache startup warm-load; tolerant of a missing/corrupt file.
