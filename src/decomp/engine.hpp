@@ -34,6 +34,7 @@
 #include <unordered_map>
 
 #include "bdd/bdd.hpp"
+#include "decomp/exact_decide.hpp"
 #include "decomp/maj_decomp.hpp"
 #include "decomp/strategy.hpp"
 #include "network/gate_sink.hpp"
@@ -62,9 +63,12 @@ struct EngineParams {
     /// var cones outright (they fall through to the ladder). Four-input
     /// classes use the fixed kFourInputConflictBudget instead.
     long long exact_sat_budget = 10000;
-    /// Longest chain the synthesizer tries before declaring a class
-    /// unsynthesizable at this effort.
-    int exact_sat_max_steps = 8;
+    /// Longest chain tried per 5-6 var cone class before it falls back to
+    /// the ladder. The default stops at the lengths decided by
+    /// construction (zero conflicts); 5-8 opt in to the CDCL search under
+    /// exact_sat_budget. Four-input classes are capped only by the
+    /// profitability gate.
+    int exact_sat_max_steps = detail::kDecidedSteps;
     /// Profitability gate for the exact strategy on cones of <= 4 support
     /// variables: serve a chain only when its gate count is below
     /// |dag(f)| + this margin (more negative = more conservative,

@@ -294,11 +294,15 @@ public:
         // fanin floor and every shorter length is proven chain-free first,
         // so the trajectory (and its conflicts) up to the cap is the
         // uncapped one: the capped search finds exactly the chains that
-        // would be served.
+        // would be served. Like the budget, exact_sat_max_steps governs five
+        // and six inputs only: every four-input class has a chain of at
+        // most five steps, found inside its fixed budget.
         ExactSatParams sat_params;
         sat_params.conflict_budget =
             four_inputs ? kFourInputConflictBudget : ctx.params.exact_sat_budget;
-        sat_params.max_steps = std::min(ctx.params.exact_sat_max_steps, gate_limit - 1);
+        sat_params.max_steps =
+            four_inputs ? gate_limit - 1
+                        : std::min(ctx.params.exact_sat_max_steps, gate_limit - 1);
 
         ExactSynthesisCache& cache = ExactSynthesisCache::instance();
         const int n = match->num_inputs;

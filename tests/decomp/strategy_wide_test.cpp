@@ -8,6 +8,7 @@
 #include <string>
 
 #include "benchgen/suite.hpp"
+#include "decomp/engine.hpp"
 #include "decomp/exact.hpp"
 #include "decomp/flow.hpp"
 #include "decomp/strategy.hpp"
@@ -15,6 +16,8 @@
 #include "network/builder.hpp"
 #include "network/network.hpp"
 #include "network/simulate.hpp"
+#include "tt/npn.hpp"
+#include "tt/truth_table.hpp"
 
 namespace bsm = bdsmaj;
 
@@ -52,11 +55,15 @@ Network wide_cone_network() {
     return network;
 }
 
+/// `max_steps` defaults to 8, not the engine's 4: at a cap of four every
+/// 5-6 input synthesis is decided by construction with zero conflicts, so
+/// the budget tests below would pass without ever reaching the solver.
 DecompFlowResult run_wide(const Network& input, long long budget,
-                          int jobs = 1) {
+                          int jobs = 1, int max_steps = 8) {
     DecompFlowParams params;
     params.engine.preset = "exact-aggressive";
     params.engine.exact_sat_budget = budget;
+    params.engine.exact_sat_max_steps = max_steps;
     // Neutral margin: these tests probe the wide machinery (synthesis,
     // caching, fallback, determinism), not the MCNC-tuned default gate.
     params.engine.exact_min_saving_wide = 0;
@@ -123,6 +130,60 @@ TEST(StrategyWide, BudgetExhaustionFallsBackCleanly) {
     EXPECT_EQ(net::write_blif(starved.network), net::write_blif(disabled.network));
 }
 
+TEST(StrategyWide, DefaultEffortSpendsNoConflicts) {
+    // The default step cap stops at the chain lengths decided by
+    // construction, so the five-step cones of the starvation network fall
+    // back without a conflict, exactly as with the SAT backend disabled.
+    // With the cap at 8 the same cones do reach the solver.
+    const Network input = starvation_network();
+    const EngineParams defaults;
+    const DecompFlowResult r = run_wide(input, defaults.exact_sat_budget,
+                                        /*jobs=*/1, defaults.exact_sat_max_steps);
+    EXPECT_TRUE(net::check_equivalent(input, r.network).equivalent);
+    EXPECT_EQ(r.engine_stats.exact_sat_conflicts, 0);
+    EXPECT_EQ(r.engine_stats.exact_wide_steps, 0);
+    EXPECT_GT(r.engine_stats.exact_sat_fallbacks, 0);
+
+    const DecompFlowResult disabled = run_wide(input, /*budget=*/0);
+    EXPECT_EQ(net::write_blif(r.network), net::write_blif(disabled.network));
+
+    ExactSynthesisCache::instance().clear();
+    const DecompFlowResult searched = run_wide(input, defaults.exact_sat_budget);
+    EXPECT_GT(searched.engine_stats.exact_sat_conflicts, 0);
+}
+
+TEST(StrategyWide, StepCapLeavesFourInputClassesAlone) {
+    // 0x1681's four-input class needs a five-step chain. The step cap
+    // governs five and six inputs only, so a cap of four still serves it.
+    bdd::Manager mgr(4);
+    const bdd::Bdd f = mgr.from_truth_table(
+        tt::TruthTable::from_fn(4, [](std::uint64_t m) { return (0x1681 >> m) & 1; }));
+    EngineParams params;
+    params.preset = "exact-aggressive";
+    params.exact_sat_max_steps = 4;
+    // A generous margin: this test is about the cap, not the gate limit.
+    params.exact_min_saving = 8;
+    Network network;
+    net::HashedNetworkBuilder builder(network);
+    std::vector<Signal> leaves;
+    for (int i = 0; i < 4; ++i) {
+        leaves.push_back(Signal{network.add_input("x" + std::to_string(i)), false});
+    }
+    BddDecomposer decomposer(mgr, builder, leaves, params);
+    network.add_output("f", builder.realize(decomposer.decompose(f)));
+
+    EXPECT_EQ(decomposer.stats().exact_steps, 1);
+    const auto chain =
+        ExactSynthesisCache::instance().lookup_wide(4, tt::npn_canonical(0x1681));
+    ASSERT_NE(chain, nullptr);
+    EXPECT_EQ(chain->gate_count(), 5);
+    for (std::uint64_t m = 0; m < 16; ++m) {
+        std::vector<bool> in;
+        for (int i = 0; i < 4; ++i) in.push_back((m >> i) & 1);
+        EXPECT_EQ(net::simulate(network, in)[0], ((0x1681 >> m) & 1) != 0) << m;
+    }
+}
+
 TEST(StrategyWide, DeterministicAcrossJobCounts) {
     const Network input = wide_cone_network();
     const DecompFlowResult serial = run_wide(input, /*budget=*/50000, /*jobs=*/1);
@@ -158,6 +219,9 @@ TEST(StrategyWide, WarmChainsFoundWithMoreBudgetAreNotServed) {
         DecompFlowParams params;
         params.engine.preset = "exact-aggressive";
         params.engine.exact_sat_budget = budget;
+        // Only chains of five steps and up cost conflicts; at the default
+        // cap of four a warm chain is served to every positive budget.
+        params.engine.exact_sat_max_steps = 8;
         params.cone_cache = false;
         return decompose_network(input, params);
     };

@@ -110,7 +110,10 @@ void print_help(std::FILE* to) {
         "                               conflicts (default 10000; 0 disables 5-6\n"
         "                               input cones, exhaustion falls back to the\n"
         "                               heuristic ladder)\n"
-        "  --exact-sat-steps N          longest SAT chain tried per class (default 8)\n"
+        "  --exact-sat-steps N          longest chain tried per 5-6-input cone\n"
+        "                               class (default 4: only the lengths decided\n"
+        "                               without conflicts; 5-8 spend the SAT\n"
+        "                               budget on longer chains)\n"
         "  --exact-cache FILE           warm-start the exact-synthesis cache from\n"
         "                               FILE at startup (tolerant: a missing or\n"
         "                               corrupt file loads nothing) and save the\n"

@@ -239,8 +239,10 @@ elif not scaling["fingerprints_identical"]:
 # the published ladder — its decomposed/mapped gate counts and engine-step
 # fingerprint must match the committed reference exactly (npn cache
 # telemetry is process-history dependent and deliberately outside the
-# fingerprint). Every preset must pass the equivalence oracle, and
-# `exact-aggressive` must strictly beat `paper` on mapped gates.
+# fingerprint). No preset may map more gates than its committed pin (the
+# exact presets' quality bar is "at or below"), every preset must pass
+# the equivalence oracle, and `exact-aggressive` must strictly beat
+# `paper` on mapped gates.
 presets = fresh.get("preset_sweep")
 if presets is None:
     failures.append("preset_sweep: section missing from fresh bench run")
@@ -261,6 +263,10 @@ else:
                                 "default pipeline no longer matches the published "
                                 f"ladder:\n  committed {e['fingerprint']}"
                                 f"\n  fresh     {got['fingerprint']}")
+            elif got["fingerprint"]["mapped_gates"] > e["fingerprint"]["mapped_gates"]:
+                failures.append(f"preset_sweep: {e['preset']} maps "
+                                f"{got['fingerprint']['mapped_gates']} gates, above "
+                                f"its committed {e['fingerprint']['mapped_gates']}")
     for e in presets["entries"]:
         if e["equivalent"] != presets["circuits"]:
             failures.append(f"preset_sweep: preset {e['preset']} failed the "
