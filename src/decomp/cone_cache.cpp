@@ -61,16 +61,10 @@ std::string cone_cache_config_blob(const EngineParams& engine,
                                    const bdd::ManagerParams& manager, bool reorder) {
     std::string out;
     out.reserve(128 + engine.preset.size());
-    append_raw(out, std::uint8_t{4});  // blob layout version
+    append_raw(out, std::uint8_t{5});  // blob layout version
     append_str(out, engine.preset);
     append_raw(out, static_cast<std::uint8_t>(engine.use_majority));
-    append_raw(out, engine.max_simple_candidates);
-    append_raw(out, engine.xor_acceptance_factor);
     append_raw(out, engine.exact_max_support);
-    append_raw(out, engine.exact_min_saving);
-    append_raw(out, engine.exact_min_saving_wide);
-    append_raw(out, engine.exact_sat_budget);
-    append_raw(out, engine.exact_sat_max_steps);
     const MajDecompParams& maj = engine.maj;
     append_raw(out, maj.max_candidates);
     append_raw(out, maj.max_iterations);
@@ -91,8 +85,6 @@ std::string cone_cache_config_blob(const EngineParams& engine,
     append_raw(out, manager.sift_converge_ratio);
     append_raw(out, manager.sift_max_passes);
     append_raw(out, static_cast<std::uint8_t>(manager.sift_symmetry));
-    append_raw(out, engine.symmetric_max_support);
-    append_raw(out, engine.symmetric_min_saving);
     append_raw(out, static_cast<std::uint8_t>(reorder));
     // Resource guards change which cones even finish (a guarded run must
     // never hit a tape an unguarded run produced, or cold and warm guarded

@@ -34,7 +34,6 @@
 #include <unordered_map>
 
 #include "bdd/bdd.hpp"
-#include "decomp/exact_decide.hpp"
 #include "decomp/maj_decomp.hpp"
 #include "decomp/strategy.hpp"
 #include "network/gate_sink.hpp"
@@ -44,54 +43,14 @@ namespace bdsmaj::decomp {
 struct EngineParams {
     bool use_majority = true;  ///< false => strip the majority stage (BDS-PGA)
     MajDecompParams maj;
-    /// Simple-dominator candidates scored for balance (top-k shortlist).
-    int max_simple_candidates = 4;
-    /// Accept a generalized XOR split only if both parts are smaller than
-    /// the function by this factor.
-    double xor_acceptance_factor = 1.0;
     /// Named strategy pipeline (see preset_catalog()); resolved once per
     /// decomposer. Unknown names throw std::invalid_argument at
     /// construction.
     std::string preset = "paper";
     /// Support cap for the exact cone strategy (decomp/exact_sat.hpp).
     /// Cones of up to 4 support variables are served as 4-input classes;
-    /// 5 and 6 also need a positive exact_sat_budget. Hard limit 6.
+    /// 4 turns the 5-6-input classes off. Hard limit 6.
     int exact_max_support = 6;
-    /// Conflict budget per synthesis call on a 5-6 var cone class;
-    /// exhaustion records a negative cache entry and falls back to the
-    /// heuristic ladder (nothing partial is emitted). <= 0 disables 5-6
-    /// var cones outright (they fall through to the ladder). Four-input
-    /// classes use the fixed kFourInputConflictBudget instead.
-    long long exact_sat_budget = 10000;
-    /// Longest chain tried per 5-6 var cone class before it falls back to
-    /// the ladder. The default stops at the lengths decided by
-    /// construction (zero conflicts); 5-8 opt in to the CDCL search under
-    /// exact_sat_budget. Four-input classes are capped only by the
-    /// profitability gate.
-    int exact_sat_max_steps = detail::kDecidedSteps;
-    /// Profitability gate for the exact strategy on cones of <= 4 support
-    /// variables: serve a chain only when its gate count is below
-    /// |dag(f)| + this margin (more negative = more conservative,
-    /// preserving the ladder's cross-cone sharing; see
-    /// ExactSmallConeStrategy). -1 is the measured sweet spot on the MCNC
-    /// suite.
-    int exact_min_saving = -1;
-    /// The same margin for 5-6 var cones, which are larger sharing-opaque
-    /// blocks and need a harsher bar (see ExactSmallConeStrategy); tuned on
-    /// MCNC mapped gates: -4 ties the 4-var-only backend while still
-    /// serving wide cones, shallower margins lose the ladder's cross-cone
-    /// sharing.
-    int exact_min_saving_wide = -4;
-    /// Support cap for the symmetric-cone strategy (the `symmetry`
-    /// preset): cones with more support variables than this skip the
-    /// symmetry census entirely.
-    int symmetric_max_support = 12;
-    /// Profitability margin for symmetric cones: serve the ones-counting
-    /// network only when its gate count is below |dag(f)| + this margin.
-    /// At 0 the gate is self-tuning — small symmetric cones (MAJ-3,
-    /// voter-5) have compact ladder yields and are rejected; wide ones are
-    /// where the O(k) counter beats the ~O(k^2) ladder.
-    int symmetric_min_saving = 0;
 };
 
 /// Counts of applied decompositions, one increment per recursion step.
@@ -125,8 +84,9 @@ struct EngineStats {
     // npn_cache_*, these depend on prior process history — a class
     // synthesized earlier (or loaded from disk) is a cache hit that skips
     // the solver — so they stay outside determinism fingerprints. The
-    // served PROGRAMS are deterministic: a hit returns byte-for-byte what
-    // a cold synthesis at equal-or-lower effort would have produced.
+    // served PROGRAMS are deterministic: the exact tier runs at one fixed
+    // effort, so a hit returns byte-for-byte what a cold synthesis would
+    // have produced.
     long long exact_sat_synthesized = 0;  ///< solver calls actually made
     long long exact_sat_cache_hits = 0;   ///< cache hits served (refused ones are fallbacks)
     long long exact_sat_fallbacks = 0;    ///< failed, covered or refused -> ladder

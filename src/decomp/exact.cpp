@@ -1,7 +1,6 @@
 #include "decomp/exact.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -59,29 +58,28 @@ bool ExactSynthesisCache::slot_of(int num_inputs, std::size_t* slot) {
 }
 
 std::shared_ptr<const WideStructure> ExactSynthesisCache::lookup_wide(
-    int num_inputs, std::uint64_t canonical, WideSynthesisCost* cost) {
+    int num_inputs, std::uint64_t canonical) {
     std::size_t slot;
     if (!slot_of(num_inputs, &slot)) return nullptr;
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = map_[slot].find(canonical);
     if (it != map_[slot].end()) {
         hits_.fetch_add(1, std::memory_order_relaxed);
-        if (cost != nullptr) *cost = it->second.cost;
-        return it->second.structure;
+        return it->second;
     }
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
 }
 
 std::shared_ptr<const WideStructure> ExactSynthesisCache::insert_wide(
-    std::shared_ptr<const WideStructure> s, WideSynthesisCost cost) {
+    std::shared_ptr<const WideStructure> s) {
     std::size_t slot;
     if (s == nullptr || !slot_of(s->num_inputs, &slot)) return nullptr;
     std::lock_guard<std::mutex> lock(mutex_);
     const std::uint64_t canonical = s->canonical;
-    const auto [it, inserted] = map_[slot].emplace(canonical, Entry{std::move(s), cost});
+    const auto [it, inserted] = map_[slot].emplace(canonical, std::move(s));
     if (inserted) failures_[slot].erase(canonical);
-    return it->second.structure;
+    return it->second;
 }
 
 void ExactSynthesisCache::clear() {
@@ -94,46 +92,25 @@ void ExactSynthesisCache::clear() {
     misses_.store(0, std::memory_order_relaxed);
 }
 
-bool ExactSynthesisCache::Failure::covers(long long budget, int max_steps) const {
-    if (max_steps <= proven_steps) return true;
-    return std::any_of(exhausted.begin(), exhausted.end(), [&](const auto& e) {
-        return budget <= e.first && max_steps <= e.second;
-    });
-}
-
 bool ExactSynthesisCache::wide_failure_covers(int num_inputs,
-                                              std::uint64_t canonical,
-                                              long long budget, int max_steps) {
+                                              std::uint64_t canonical, int max_steps) {
     std::size_t slot;
     if (!slot_of(num_inputs, &slot)) return false;
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = failures_[slot].find(canonical);
-    return it != failures_[slot].end() && it->second.covers(budget, max_steps);
+    return it != failures_[slot].end() && max_steps <= it->second;
 }
 
-void ExactSynthesisCache::record_wide_failure(int num_inputs,
-                                              std::uint64_t canonical,
-                                              ExactSatStatus status,
-                                              long long budget, int max_steps) {
-    assert(status != ExactSatStatus::kFound);
+void ExactSynthesisCache::record_wide_failure(int num_inputs, std::uint64_t canonical,
+                                              int max_steps) {
     std::size_t slot;
     if (!slot_of(num_inputs, &slot)) return;
     std::lock_guard<std::mutex> lock(mutex_);
     // Never shadow a success: a program may have been published between
     // this worker's failed attempt and the record call.
     if (map_[slot].contains(canonical)) return;
-    Failure& f = failures_[slot][canonical];
-    if (status == ExactSatStatus::kUnsat) {
-        f.proven_steps = std::max(f.proven_steps, max_steps);
-        std::erase_if(f.exhausted,
-                      [&](const auto& e) { return e.second <= f.proven_steps; });
-        return;
-    }
-    if (f.covers(budget, max_steps)) return;
-    std::erase_if(f.exhausted, [&](const auto& e) {
-        return e.first <= budget && e.second <= max_steps;
-    });
-    f.exhausted.emplace_back(budget, max_steps);
+    int& proven = failures_[slot].try_emplace(canonical, max_steps).first->second;
+    proven = std::max(proven, max_steps);
 }
 
 namespace {
@@ -212,7 +189,7 @@ int ExactSynthesisCache::save_to_file(const std::string& path) const {
     {
         std::lock_guard<std::mutex> lock(mutex_);
         for (const auto& per_n : map_) {
-            for (const auto& [canonical, entry] : per_n) entries.push_back(entry.structure);
+            for (const auto& [canonical, s] : per_n) entries.push_back(s);
         }
     }
     std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
@@ -310,7 +287,7 @@ int ExactSynthesisCache::load_from_file(const std::string& path) {
 
         std::lock_guard<std::mutex> lock(mutex_);
         const std::uint64_t canonical = s->canonical;
-        if (map_[slot].emplace(canonical, Entry{std::move(s), {}}).second) ++inserted;
+        if (map_[slot].emplace(canonical, std::move(s)).second) ++inserted;
     }
     return inserted;
 }

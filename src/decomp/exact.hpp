@@ -24,7 +24,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 namespace bdsmaj::decomp {
@@ -78,33 +77,6 @@ struct WideStructure {
     [[nodiscard]] std::uint64_t eval_tt() const;
 };
 
-/// Verdict of one chain synthesis (decomp/exact_sat.hpp); declared here
-/// because the negative cache keys its entries on it.
-enum class ExactSatStatus : std::uint8_t {
-    kFound,    ///< chain found and validated against the full truth table
-    kUnsat,    ///< proven: no chain of <= max_steps steps computes tt
-    kUnknown,  ///< conflict budget exhausted before a verdict
-};
-
-/// Effort of the synthesis that found a cached program: the
-/// conflicts it spent and the chain length it reached. A chain is found
-/// only after every shorter length is proven chain-free, and a search
-/// replays the same trajectory at any budget or step cap until it stops,
-/// so a cold synthesis at (budget, max_steps) finds exactly this program
-/// iff budget > conflicts and max_steps >= steps_tried; with less budget
-/// it stops on its last conflict, with a smaller cap no chain exists.
-/// -1 = unknown (an entry prewarmed from disk).
-struct WideSynthesisCost {
-    long long conflicts = -1;
-    int steps_tried = -1;
-
-    /// True when a cold synthesis at this effort finds the program; always
-    /// true for an unknown cost (prewarmed entries are served as they are).
-    [[nodiscard]] bool reproduced_by(long long budget, int max_steps) const noexcept {
-        return conflicts < 0 || (budget > conflicts && max_steps >= steps_tried);
-    }
-};
-
 /// Telemetry of the process-wide class cache.
 struct ExactCacheStats {
     std::uint64_t hits = 0;
@@ -141,17 +113,16 @@ public:
 
     /// Program for a canonical class of `num_inputs` (4 to 6) inputs, or
     /// nullptr when none has been synthesized yet (synthesis is
-    /// on-demand; a miss here is the caller's cue to synthesize). `cost`
-    /// (optional) receives the effort recorded with the program.
+    /// on-demand; a miss here is the caller's cue to synthesize).
     [[nodiscard]] std::shared_ptr<const WideStructure> lookup_wide(
-        int num_inputs, std::uint64_t canonical, WideSynthesisCost* cost = nullptr);
+        int num_inputs, std::uint64_t canonical);
 
-    /// Publish a synthesized program with the effort that found it; first
-    /// insert wins (racing workers that synthesized the same class
-    /// concurrently found the same program at the same cost). Returns the
-    /// canonical in-cache pointer. Clears any negative entry for the class.
+    /// Publish a synthesized program; first insert wins (racing workers
+    /// that synthesized the same class concurrently found the same
+    /// program). Returns the canonical in-cache pointer. Clears any
+    /// negative entry for the class.
     std::shared_ptr<const WideStructure> insert_wide(
-        std::shared_ptr<const WideStructure> s, WideSynthesisCost cost = {});
+        std::shared_ptr<const WideStructure> s);
 
     /// Drop every program and negative entry, and zero the telemetry: the
     /// state of a fresh process, for tests that must not depend on what
@@ -159,51 +130,31 @@ public:
     /// valid (they are shared).
     void clear();
 
-    /// True when a synthesis at (budget, max_steps) is known to fail: a
-    /// recorded proof covers the step cap, or one recorded budget-exhausted
-    /// attempt had at least this budget AND this cap. Retrying is pointless
-    /// and would burn the budget again.
+    /// True when a synthesis capped at `max_steps` is known to fail: a
+    /// recorded proof covers the step cap, so retrying is pointless.
     [[nodiscard]] bool wide_failure_covers(int num_inputs,
-                                           std::uint64_t canonical,
-                                           long long budget, int max_steps);
+                                           std::uint64_t canonical, int max_steps);
 
-    /// Record a failed synthesis attempt at (budget, max_steps). A kUnsat
-    /// proves no chain of <= max_steps steps exists, so it covers every
-    /// budget at caps <= max_steps. A kUnknown (budget exhausted) covers
-    /// only budgets <= budget at caps <= max_steps; attempts that cross
-    /// (more budget, lower cap) are kept side by side, never merged into
-    /// a claim no run made, so the covered set does not depend on the
-    /// order attempts arrive in. In-memory only, never persisted.
-    void record_wide_failure(int num_inputs, std::uint64_t canonical,
-                             ExactSatStatus status, long long budget,
-                             int max_steps);
+    /// Record a proof (a kUnsat synthesis) that no chain of <= max_steps
+    /// steps computes the class; it covers every cap <= max_steps.
+    /// In-memory only, never persisted.
+    void record_wide_failure(int num_inputs, std::uint64_t canonical, int max_steps);
 
     [[nodiscard]] ExactCacheStats stats() const;
 
 private:
     ExactSynthesisCache() = default;
 
-    struct Failure {
-        /// Largest step cap proven chain-free; -1 = no proof.
-        int proven_steps = -1;
-        /// Budget-exhausted attempts as (budget, max_steps), none covering
-        /// another and none within the proven cap (a tiny Pareto set).
-        std::vector<std::pair<long long, int>> exhausted;
-
-        [[nodiscard]] bool covers(long long budget, int max_steps) const;
-    };
-    struct Entry {
-        std::shared_ptr<const WideStructure> structure;
-        WideSynthesisCost cost;
-    };
     /// Index of the per-input-count maps; false outside 4..6.
     static bool slot_of(int num_inputs, std::size_t* slot);
 
     /// Classes are few (at most 222 four-input ones plus the 5-6-input
     /// classes a run meets), so one mutex over the per-n maps suffices.
     mutable std::mutex mutex_;
-    std::array<std::unordered_map<std::uint64_t, Entry>, 3> map_;
-    std::array<std::unordered_map<std::uint64_t, Failure>, 3> failures_;
+    std::array<std::unordered_map<std::uint64_t, std::shared_ptr<const WideStructure>>, 3>
+        map_;
+    /// Per class, the largest step cap proven chain-free.
+    std::array<std::unordered_map<std::uint64_t, int>, 3> failures_;
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
 };

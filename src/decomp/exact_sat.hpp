@@ -60,6 +60,13 @@
 
 namespace bdsmaj::decomp {
 
+/// Verdict of one chain synthesis.
+enum class ExactSatStatus : std::uint8_t {
+    kFound,    ///< chain found and validated against the full truth table
+    kUnsat,    ///< proven: no chain of <= max_steps steps computes tt
+    kUnknown,  ///< conflict budget exhausted before a verdict
+};
+
 struct ExactSatParams {
     /// Total CDCL conflicts one synthesize call may spend, across every
     /// chain length it searches (five steps and up; shorter lengths are
@@ -70,12 +77,13 @@ struct ExactSatParams {
     int max_steps = 8;
 };
 
-/// Conflict budget of the exact strategy's four-input classes. Fixed, not
-/// the job's exact_sat_budget (which governs five and six inputs only):
-/// every one of the 222 classes is found well inside it (the most costly
-/// takes about 6k conflicts), so each program is a pure function of its
-/// class.
-inline constexpr long long kFourInputConflictBudget = 100000;
+/// Conflict budget of every exact-strategy synthesis. Fixed, so each
+/// cached program and each negative entry is a pure function of its class
+/// and step cap: every one of the 222 four-input classes is found well
+/// inside it (the most costly takes about 6k conflicts), and five- and
+/// six-input classes stop at the lengths decided by construction, which
+/// spend no conflicts. No synthesis of the strategy ever exhausts it.
+inline constexpr long long kExactConflictBudget = 100000;
 
 struct ExactSatResult {
     ExactSatStatus status = ExactSatStatus::kUnknown;

@@ -163,14 +163,14 @@ struct DegradeStage {
 };
 
 /// Derive a cheaper stage from the requested parameters: the stage's
-/// preset, exact tiers disabled, sift effort clamped. The terminal stage
-/// additionally turns reordering and the resource guards off, so plain
-/// Shannon expansion — linear in the cone's BDD — always terminates.
+/// preset, five- and six-input exact cones off, sift effort clamped. The
+/// terminal stage additionally turns reordering and the resource guards
+/// off, so plain Shannon expansion — linear in the cone's BDD — always
+/// terminates.
 DecompFlowParams degraded_stage_params(const DecompFlowParams& base,
                                        const std::string& preset, bool terminal) {
     DecompFlowParams p = base;
     p.engine.preset = preset;
-    p.engine.exact_sat_budget = 0;
     p.engine.exact_max_support = std::min(p.engine.exact_max_support, 4);
     p.manager.sift_converge = false;
     p.manager.sift_max_growth = std::min(p.manager.sift_max_growth, 1.1);

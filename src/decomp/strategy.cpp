@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "decomp/engine.hpp"
+#include "decomp/exact_decide.hpp"
 #include "decomp/maj_decomp.hpp"
 #include "decomp/xor_decomp.hpp"
 
@@ -13,6 +14,38 @@ namespace bdsmaj::decomp {
 namespace {
 
 using bdd::Bdd;
+
+// ---------------------------------------------------------------------------
+// Fixed tuning of the strategies (the paper's own knobs, the majority
+// sizing factors, live in MajDecompParams).
+// ---------------------------------------------------------------------------
+
+/// Simple-dominator candidates scored for balance (top-k shortlist).
+constexpr std::size_t kMaxSimpleCandidates = 4;
+/// Accept a generalized XOR split only if both parts are smaller than the
+/// function by this factor.
+constexpr double kXorAcceptanceFactor = 1.0;
+/// Profitability gate for the exact strategy on cones of <= 4 support
+/// variables: serve a chain only when its gate count is below |dag(f)| +
+/// this margin (more negative = more conservative, preserving the ladder's
+/// cross-cone sharing; see ExactSmallConeStrategy). -1 is the measured
+/// sweet spot on the MCNC suite.
+constexpr int kExactMinSaving = -1;
+/// The same margin for 5-6 var cones, which are larger sharing-opaque
+/// blocks and need a harsher bar: tuned on MCNC mapped gates, -4 ties the
+/// 4-var-only backend while still serving wide cones; shallower margins
+/// lose the ladder's cross-cone sharing.
+constexpr int kExactMinSavingWide = -4;
+/// Support cap for the symmetric-cone strategy (the `symmetry` preset):
+/// cones with more support variables than this skip the symmetry census
+/// entirely.
+constexpr int kSymmetricMaxSupport = 12;
+/// Profitability margin for symmetric cones: serve the ones-counting
+/// network only when its gate count is below |dag(f)| + this margin. At 0
+/// the gate is self-tuning — small symmetric cones (MAJ-3, voter-5) have
+/// compact ladder yields and are rejected; wide ones are where the O(k)
+/// counter beats the ~O(k^2) ladder.
+constexpr int kSymmetricMinSaving = 0;
 
 // ---------------------------------------------------------------------------
 // Strategies. Each is stateless between steps; all per-step inputs arrive
@@ -91,10 +124,7 @@ public:
                          [&](const Entry& a, const Entry& b) {
                              return balance(a.divisor_size) < balance(b.divisor_size);
                          });
-        if (static_cast<int>(shortlist.size()) > ctx.params.max_simple_candidates) {
-            shortlist.resize(
-                static_cast<std::size_t>(ctx.params.max_simple_candidates));
-        }
+        if (shortlist.size() > kMaxSimpleCandidates) shortlist.resize(kMaxSimpleCandidates);
         std::optional<SimpleDecomposition> best;
         std::size_t best_score = 0;
         for (const Entry& e : shortlist) {
@@ -121,7 +151,7 @@ public:
 };
 
 /// Paper stage 3: generalized (non-disjoint) XOR split, accepted only when
-/// both parts shrink below xor_acceptance_factor * |F|.
+/// both parts shrink below kXorAcceptanceFactor * |F|.
 class GeneralizedXorStrategy final : public DecompStrategy {
 public:
     [[nodiscard]] StrategyKind kind() const noexcept override {
@@ -135,7 +165,7 @@ public:
             xor_decompose(ctx.mgr, ctx.f, ctx.params.maj.xor_params);
         if (split.trivial) return std::nullopt;
         const auto limit =
-            static_cast<double>(ctx.f_size) * ctx.params.xor_acceptance_factor;
+            static_cast<double>(ctx.f_size) * kXorAcceptanceFactor;
         if (static_cast<double>(ctx.mgr.dag_size(split.m)) >= limit ||
             static_cast<double>(ctx.mgr.dag_size(split.k)) >= limit) {
             return std::nullopt;
@@ -195,7 +225,7 @@ public:
     [[nodiscard]] std::optional<Candidate> propose(StepContext& ctx) override {
         const std::vector<int> support = ctx.mgr.support_vars(ctx.f);
         const auto k = static_cast<int>(support.size());
-        if (k < 3 || k > ctx.params.symmetric_max_support) return std::nullopt;
+        if (k < 3 || k > kSymmetricMaxSupport) return std::nullopt;
         // Quick size filter: a totally symmetric function on k variables
         // has at most k(k+1)/2 + 1 reduced-BDD nodes (w+1 distinct
         // subfunctions at support level w). Anything bigger cannot pass
@@ -224,11 +254,10 @@ public:
                 ctx.mgr.eval(ctx.f, assignment) ? 1 : 0;
         }
         // Profitability: the ladder yields ~1 gate per BDD node, so demand
-        // the counter network beat f_size by the configured margin. Small
+        // the counter network beat f_size by kSymmetricMinSaving. Small
         // symmetric cones (MAJ-3, voter-5) have compact ladders and are
         // naturally rejected; wide ones are where O(k) beats O(k^2).
-        const int limit =
-            static_cast<int>(ctx.f_size) + ctx.params.symmetric_min_saving;
+        const int limit = static_cast<int>(ctx.f_size) + kSymmetricMinSaving;
         if (symmetric_network_cost(values) >= limit) return std::nullopt;
         Candidate cand;
         cand.source = StrategyKind::kSymmetric;
@@ -243,12 +272,12 @@ public:
 /// (<= 6) variables is served the minimum-length {MAJ,AND,OR,XOR,MUX,NOT}
 /// chain of its NPN class. Cones of up to four support variables are
 /// padded to four inputs; each class is synthesized on demand by the chain
-/// synthesizer (decomp/exact_sat.hpp) under a per-class conflict budget,
-/// with both successes and failures memoized process-wide. Every decision
-/// is a pure function of the cone's canonical class and the (budget,
-/// max_steps) effort, so racing workers and any jobs count converge: a
-/// cache hit serves exactly the program a cold synthesis would have
-/// produced, and a negative entry only covers efforts where synthesis
+/// synthesizer (decomp/exact_sat.hpp) at one fixed effort
+/// (kExactConflictBudget), with both successes and proofs of failure
+/// memoized process-wide. Every decision is a pure function of the cone's
+/// canonical class and its step cap, so racing workers and any jobs count
+/// converge: a cache hit serves exactly the program a cold synthesis would
+/// have produced, and a negative entry only covers caps where synthesis
 /// would have failed identically. The DAG-size pre-filter keeps the
 /// reject path O(1): a reduced BDD over 6 variables never exceeds a
 /// handful of nodes.
@@ -267,11 +296,8 @@ public:
     }
     [[nodiscard]] std::optional<Candidate> propose(StepContext& ctx) override {
         if (ctx.f_size > kMaxConeNodes) return std::nullopt;
-        // A nonpositive exact_sat_budget turns five and six inputs off.
-        const int max_support = std::min(ctx.params.exact_max_support,
-                                         ctx.params.exact_sat_budget > 0 ? 6 : 4);
-        const std::optional<WideConeMatch> match =
-            match_cone_wide(ctx.mgr, ctx.f, 0, max_support);
+        const std::optional<WideConeMatch> match = match_cone_wide(
+            ctx.mgr, ctx.f, 0, std::min(ctx.params.exact_max_support, 6));
         if (!match) return std::nullopt;
         const bool four_inputs = match->num_inputs == 4;
         // Profitability gate: an exact structure is a sharing-opaque block
@@ -282,9 +308,8 @@ public:
         // Wider cones need a harsher margin: at 5-6 variables the cone's
         // sub-BDDs are shared across far more sibling recursions, so the
         // ladder's marginal cost sits below f_size.
-        const int gate_limit =
-            static_cast<int>(ctx.f_size) + (four_inputs ? ctx.params.exact_min_saving
-                                                        : ctx.params.exact_min_saving_wide);
+        const int gate_limit = static_cast<int>(ctx.f_size) +
+                               (four_inputs ? kExactMinSaving : kExactMinSavingWide);
         // Fanin floor: r 3-input steps reach at most 2r+1 leaves, so a
         // cone on s variables needs >= ceil((s-1)/2) = s/2 gates. Skip the
         // synthesis entirely when even that floor cannot beat the limit.
@@ -292,35 +317,25 @@ public:
         // Incumbent bound: a chain of gate_limit or more gates is never
         // served, so the search stops below it. Chain length grows from the
         // fanin floor and every shorter length is proven chain-free first,
-        // so the trajectory (and its conflicts) up to the cap is the
-        // uncapped one: the capped search finds exactly the chains that
-        // would be served. Like the budget, exact_sat_max_steps governs five
-        // and six inputs only: every four-input class has a chain of at
-        // most five steps, found inside its fixed budget.
+        // so the capped search finds exactly the chains that would be
+        // served. Five and six inputs also stop at the lengths decided by
+        // construction (zero conflicts): the CDCL search beyond them does
+        // not pay. Every four-input class has a chain of at most five
+        // steps, found inside the fixed budget.
         ExactSatParams sat_params;
-        sat_params.conflict_budget =
-            four_inputs ? kFourInputConflictBudget : ctx.params.exact_sat_budget;
-        sat_params.max_steps =
-            four_inputs ? gate_limit - 1
-                        : std::min(ctx.params.exact_sat_max_steps, gate_limit - 1);
+        sat_params.conflict_budget = kExactConflictBudget;
+        sat_params.max_steps = four_inputs
+                                   ? gate_limit - 1
+                                   : std::min(detail::kDecidedSteps, gate_limit - 1);
 
         ExactSynthesisCache& cache = ExactSynthesisCache::instance();
         const int n = match->num_inputs;
-        WideSynthesisCost cost;
         std::shared_ptr<const WideStructure> structure =
-            cache.lookup_wide(n, match->canonical, &cost);
+            cache.lookup_wide(n, match->canonical);
         const bool cache_hit = structure != nullptr;
         bool synthesized = false;
-        if (cache_hit) {
-            // Serve only what this job's own cold synthesis would find: a
-            // chain found with more budget (or a longer cap) by an earlier
-            // job must not leak into this one.
-            if (!cost.reproduced_by(sat_params.conflict_budget, sat_params.max_steps)) {
-                structure.reset();
-            }
-        } else if (!cache.wide_failure_covers(n, match->canonical,
-                                              sat_params.conflict_budget,
-                                              sat_params.max_steps)) {
+        if (!cache_hit &&
+            !cache.wide_failure_covers(n, match->canonical, sat_params.max_steps)) {
             const ExactSatResult res =
                 exact_sat_synthesize(match->canonical, n, sat_params);
             synthesized = true;
@@ -329,16 +344,15 @@ public:
                 ctx.stats.exact_sat_conflicts += res.conflicts;
             }
             if (res.status == ExactSatStatus::kFound) {
-                structure = cache.insert_wide(
-                    res.structure, WideSynthesisCost{res.conflicts, res.steps_tried});
-            } else {
-                cache.record_wide_failure(n, match->canonical, res.status,
-                                          sat_params.conflict_budget,
-                                          sat_params.max_steps);
+                structure = cache.insert_wide(res.structure);
+            } else if (res.status == ExactSatStatus::kUnsat) {
+                cache.record_wide_failure(n, match->canonical, sat_params.max_steps);
             }
         }
-        // Only a disk-prewarmed chain (no recorded cost) can reach the
-        // gate limit: a synthesized one is capped below it.
+        // A chain is found only after every shorter length is proven
+        // chain-free, so a chain synthesized in this process is exactly
+        // what this cone's capped cold synthesis finds iff it is below the
+        // gate limit. Disk-prewarmed chains are held to the same limit.
         if (structure != nullptr && structure->gate_count() >= gate_limit) {
             structure.reset();
         }
@@ -518,7 +532,7 @@ const std::vector<PresetInfo>& preset_catalog() {
         {"exact-aggressive",
          "exact structures for small cones — a minimum-length chain per NPN "
          "class, cones of up to 4 support variables padded to 4 inputs, "
-         "5-6 under the SAT budget — then the paper ladder"},
+         "5-6 by chains of at most four steps — then the paper ladder"},
         {"best-cost",
          "all strategies propose every step; the gate-count cost model "
          "picks the cheapest candidate"},

@@ -279,11 +279,8 @@ TEST(ConeCache, ConfigBlobCoversEveryKnob) {
     // or two configurations would silently share cached tapes. The
     // structured bindings name every field of the parameter structs, so a
     // new field stops this test from compiling until it joins the list.
-    [[maybe_unused]] const auto& [use_majority, maj, max_simple_candidates,
-                                  xor_acceptance_factor, preset, exact_max_support,
-                                  exact_sat_budget, exact_sat_max_steps, exact_min_saving,
-                                  exact_min_saving_wide, symmetric_max_support,
-                                  symmetric_min_saving] = EngineParams{};
+    [[maybe_unused]] const auto& [use_majority, maj, preset,
+                                  exact_max_support] = EngineParams{};
     [[maybe_unused]] const auto& [max_candidates, max_iterations, k_local, k_global,
                                   min_then_fanin, min_else_fanin, use_restrict,
                                   xor_params] = MajDecompParams{};
@@ -312,16 +309,8 @@ TEST(ConeCache, ConfigBlobCoversEveryKnob) {
          [](Knobs& k) { k.engine.maj.xor_params.max_var_candidates += 1; }},
         {"maj.xor_params.max_growth",
          [](Knobs& k) { k.engine.maj.xor_params.max_growth += 0.5; }},
-        {"max_simple_candidates", [](Knobs& k) { k.engine.max_simple_candidates += 1; }},
-        {"xor_acceptance_factor", [](Knobs& k) { k.engine.xor_acceptance_factor += 0.5; }},
         {"preset", [](Knobs& k) { k.engine.preset = "exact-aggressive"; }},
         {"exact_max_support", [](Knobs& k) { k.engine.exact_max_support = 4; }},
-        {"exact_sat_budget", [](Knobs& k) { k.engine.exact_sat_budget += 1; }},
-        {"exact_sat_max_steps", [](Knobs& k) { k.engine.exact_sat_max_steps += 1; }},
-        {"exact_min_saving", [](Knobs& k) { k.engine.exact_min_saving += 1; }},
-        {"exact_min_saving_wide", [](Knobs& k) { k.engine.exact_min_saving_wide += 1; }},
-        {"symmetric_max_support", [](Knobs& k) { k.engine.symmetric_max_support += 1; }},
-        {"symmetric_min_saving", [](Knobs& k) { k.engine.symmetric_min_saving += 1; }},
         {"manager.cache_size_log2", [](Knobs& k) { k.manager.cache_size_log2 += 1; }},
         {"manager.cache_max_size_log2", [](Knobs& k) { k.manager.cache_max_size_log2 += 1; }},
         {"manager.gc_dead_threshold", [](Knobs& k) { k.manager.gc_dead_threshold += 1; }},

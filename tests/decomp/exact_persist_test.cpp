@@ -172,7 +172,7 @@ TEST_F(ExactPersist, SaveIsDeterministicAndAtomic) {
 
 TEST_F(ExactPersist, LoadPrewarmsAndLookupReportsHit) {
     // A crafted file prewarms a four-input class that was never
-    // synthesized here; lookup then hits with an unknown cost.
+    // synthesized here; lookup then hits.
     ExactSynthesisCache& cache = ExactSynthesisCache::instance();
     const WideStructure literal = four_literal();
     const std::string path = testing::TempDir() + "exact_persist_warm.bin";
@@ -182,13 +182,11 @@ TEST_F(ExactPersist, LoadPrewarmsAndLookupReportsHit) {
     // Loading again: first insert wins.
     EXPECT_EQ(cache.load_from_file(path), 0);
 
-    WideSynthesisCost cost{7, 7};
-    const auto s = cache.lookup_wide(4, literal.canonical, &cost);
+    const auto s = cache.lookup_wide(4, literal.canonical);
     ASSERT_NE(s, nullptr) << "pre-warmed class should hit, not re-synthesize";
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(s->gate_count(), 0);
     EXPECT_EQ(s->eval_tt(), literal.canonical);
-    EXPECT_EQ(cost.conflicts, -1) << "prewarmed entries carry no cost";
     std::remove(path.c_str());
 }
 
@@ -308,9 +306,8 @@ TEST_F(ExactPersist, WideSaveIsSortedDeterministicAndSkipsFailures) {
     ASSERT_NE(kept, nullptr);
     EXPECT_EQ(kept->gate_count(), five.gate_count());
 
-    cache.record_wide_failure(5, 0x123456789ULL & 0xffffffffULL,
-                              ExactSatStatus::kUnknown, 10000, 8);
-    cache.record_wide_failure(4, 0x1ee1, ExactSatStatus::kUnsat, 100000, 2);
+    cache.record_wide_failure(5, 0x123456789ULL & 0xffffffffULL, 8);
+    cache.record_wide_failure(4, 0x1ee1, 2);
     ASSERT_EQ(cache.stats().failures_recorded, 2);
 
     const std::string expected = file_of({four, five, six});

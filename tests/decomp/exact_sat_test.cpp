@@ -296,35 +296,16 @@ TEST(ExactSat, WideCacheInsertLookupAndNegativeEntries) {
     const std::uint64_t cls = tt::npn_canonical_w(maj5_tt(), 5);
     EXPECT_EQ(cache.lookup_wide(5, cls), nullptr);
 
-    // A failure record covers retries at equal-or-lower effort only.
-    cache.record_wide_failure(5, cls, ExactSatStatus::kUnknown, 1000, 6);
-    EXPECT_TRUE(cache.wide_failure_covers(5, cls, 1000, 6));
-    EXPECT_TRUE(cache.wide_failure_covers(5, cls, 500, 4));
-    EXPECT_FALSE(cache.wide_failure_covers(5, cls, 2000, 6));
-    EXPECT_FALSE(cache.wide_failure_covers(5, cls, 1000, 8));
-
-    // Crossed exhaustions each cover their own corner and are never merged
-    // into (1000, 8), which no run tried, in either arrival order.
-    const std::uint64_t other = cls ^ 0x10;
-    cache.record_wide_failure(5, cls, ExactSatStatus::kUnknown, 500, 8);
-    cache.record_wide_failure(5, other, ExactSatStatus::kUnknown, 500, 8);
-    cache.record_wide_failure(5, other, ExactSatStatus::kUnknown, 1000, 6);
-    for (const std::uint64_t c : {cls, other}) {
-        EXPECT_TRUE(cache.wide_failure_covers(5, c, 1000, 6));
-        EXPECT_TRUE(cache.wide_failure_covers(5, c, 500, 8));
-        EXPECT_FALSE(cache.wide_failure_covers(5, c, 1000, 8));
-        EXPECT_FALSE(cache.wide_failure_covers(5, c, 700, 7));
-    }
-
-    // A kUnsat is a proof, not a budget verdict: it covers every budget up
-    // to its cap. MAJ-5 needs 4 steps, so a cap of 3 proves impossibility.
+    // A kUnsat is a proof: it covers every cap up to its own. MAJ-5 needs
+    // 4 steps, so a cap of 3 proves impossibility.
     ExactSatParams capped;
     capped.max_steps = 3;
     const ExactSatResult proof = exact_sat_synthesize(cls, 5, capped);
     ASSERT_EQ(proof.status, ExactSatStatus::kUnsat);
-    cache.record_wide_failure(5, cls, proof.status, capped.conflict_budget, 3);
-    EXPECT_TRUE(cache.wide_failure_covers(5, cls, 1'000'000, 3));
-    EXPECT_FALSE(cache.wide_failure_covers(5, cls, 1'000'000, 4));
+    cache.record_wide_failure(5, cls, 3);
+    EXPECT_TRUE(cache.wide_failure_covers(5, cls, 3));
+    EXPECT_TRUE(cache.wide_failure_covers(5, cls, 2));
+    EXPECT_FALSE(cache.wide_failure_covers(5, cls, 4));
 
     const ExactSatResult res = exact_sat_synthesize(cls, 5);
     ASSERT_EQ(res.status, ExactSatStatus::kFound);
@@ -332,7 +313,7 @@ TEST(ExactSat, WideCacheInsertLookupAndNegativeEntries) {
     EXPECT_EQ(published.get(), res.structure.get()) << "first insert wins";
     EXPECT_EQ(cache.lookup_wide(5, cls).get(), published.get());
     // Publishing a program clears the negative entry.
-    EXPECT_FALSE(cache.wide_failure_covers(5, cls, 500, 4));
+    EXPECT_FALSE(cache.wide_failure_covers(5, cls, 3));
 
     // Second insert of a rival program loses to the first.
     const ExactSatResult again = exact_sat_synthesize(cls, 5);
@@ -424,10 +405,9 @@ TEST(ExactSat, CappingAtTheMinimumChainLengthChangesNothing) {
 TEST(ExactSat, CachedChainIsReproducedOnlyAboveItsConflicts) {
     // A search stops on the conflict that uses up its budget, before the
     // model is complete: a chain that took C conflicts is found again at
-    // budget C + 1 (same program, same conflicts) but not at budget C, and
-    // not under a cap below its length. WideSynthesisCost encodes exactly
-    // that boundary for the wide cache. A chain decided by construction
-    // took 0 conflicts: budget 0 refuses, budget 1 finds it.
+    // budget C + 1 (same program, same conflicts) but not at budget C. A
+    // chain decided by construction took 0 conflicts: budget 0 refuses,
+    // budget 1 finds it.
     for (const Search search : {Search::kSynthesize, Search::kCdclOnly})
     for (const MinChain& c : min_chain_classes()) {
         SCOPED_TRACE(c.name);
@@ -440,22 +420,16 @@ TEST(ExactSat, CachedChainIsReproducedOnlyAboveItsConflicts) {
         } else {
             ASSERT_EQ(full.conflicts, 0);
         }
-        const WideSynthesisCost cost{full.conflicts, full.steps_tried};
 
         params.conflict_budget = full.conflicts;
         EXPECT_EQ(run_search(search, c, params).status, ExactSatStatus::kUnknown);
-        EXPECT_FALSE(cost.reproduced_by(params.conflict_budget, params.max_steps));
 
         params.conflict_budget = full.conflicts + 1;
         const ExactSatResult again = run_search(search, c, params);
         ASSERT_EQ(again.status, ExactSatStatus::kFound);
         EXPECT_TRUE(same_program(*again.structure, *full.structure));
         EXPECT_EQ(again.conflicts, full.conflicts);
-        EXPECT_TRUE(cost.reproduced_by(params.conflict_budget, params.max_steps));
-        EXPECT_TRUE(cost.reproduced_by(params.conflict_budget, full.steps_tried));
-        EXPECT_FALSE(cost.reproduced_by(params.conflict_budget, full.steps_tried - 1));
     }
-    EXPECT_TRUE(WideSynthesisCost{}.reproduced_by(1, 1)) << "prewarmed entries are always served";
 }
 
 }  // namespace

@@ -31,7 +31,7 @@ using net::Signal;
 /// The four-input synthesis the exact strategy runs for a class.
 ExactSatResult synthesize_four(std::uint16_t canonical) {
     ExactSatParams params;
-    params.conflict_budget = kFourInputConflictBudget;
+    params.conflict_budget = kExactConflictBudget;
     return exact_sat_synthesize(canonical, 4, params);
 }
 
@@ -41,7 +41,7 @@ std::shared_ptr<const WideStructure> program_for(std::uint16_t canonical) {
     if (auto s = cache.lookup_wide(4, canonical)) return s;
     const ExactSatResult res = synthesize_four(canonical);
     EXPECT_EQ(res.status, ExactSatStatus::kFound) << "class " << canonical;
-    return cache.insert_wide(res.structure, {res.conflicts, res.steps_tried});
+    return cache.insert_wide(res.structure);
 }
 
 /// Every four-input NPN class representative, ascending.
@@ -99,7 +99,7 @@ TEST(Exact, EveryNpnClassStructureComputesItsClass) {
     }
     const std::map<int, int> pinned{{0, 2}, {1, 4}, {2, 25}, {3, 104}, {4, 83}, {5, 4}};
     EXPECT_EQ(histogram, pinned);
-    EXPECT_LT(conflicts, kFourInputConflictBudget);
+    EXPECT_LT(conflicts, kExactConflictBudget);
 }
 
 TEST(Exact, CachedLookupsAreHitsAndReturnTheSameProgram) {

@@ -101,19 +101,9 @@ void print_help(std::FILE* to) {
         "exact synthesis (the exact-* presets):\n"
         "  --exact-max-support N        widest cone served exactly, 0-6: cones of\n"
         "                               <= 4 support variables are served as\n"
-        "                               4-input classes, 5-6 under the SAT budget;\n"
-        "                               every class gets a minimum-length chain\n"
-        "                               (default 6)\n"
-        "  --exact-sat-budget N         CDCL conflict budget per 5-6-input cone\n"
-        "                               class for chains of 5 or more steps;\n"
-        "                               shorter chains are decided without\n"
-        "                               conflicts (default 10000; 0 disables 5-6\n"
-        "                               input cones, exhaustion falls back to the\n"
-        "                               heuristic ladder)\n"
-        "  --exact-sat-steps N          longest chain tried per 5-6-input cone\n"
-        "                               class (default 4: only the lengths decided\n"
-        "                               without conflicts; 5-8 spend the SAT\n"
-        "                               budget on longer chains)\n"
+        "                               4-input classes, 5-6 by chains of at most\n"
+        "                               four steps; each gets a minimum-length\n"
+        "                               chain (default 6)\n"
         "  --exact-cache FILE           warm-start the exact-synthesis cache from\n"
         "                               FILE at startup (tolerant: a missing or\n"
         "                               corrupt file loads nothing) and save the\n"
@@ -467,10 +457,6 @@ int main(int argc, char** argv) {
             opt.exact_cache_path = value();
         } else if (arg == "--exact-max-support") {
             job.engine.exact_max_support = number(0, 6);
-        } else if (arg == "--exact-sat-budget") {
-            job.engine.exact_sat_budget = number(0LL);
-        } else if (arg == "--exact-sat-steps") {
-            job.engine.exact_sat_max_steps = number(0);
         } else if (arg == "--deadline-ms") {
             opt.deadline_ms = number(std::numeric_limits<double>::lowest());
         } else if (arg == "--soft-budget-ms") {

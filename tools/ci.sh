@@ -79,10 +79,10 @@ cmake --build build-jobbench -j"$JOBS" --target jobbench_worker
 echo "==> tier-1: shared-state suites in one process"
 # ctest runs every test in a fresh process, which hides tests that lean
 # on process-wide state (the exact-synthesis class cache the Exact tests
-# fill and the StrategyWide counters read, the solver's pinned
+# fill and the StrategyWide and ConeCache runs read, the solver's pinned
 # trajectories, the rewriter's compiled-cut store) left behind by an
 # earlier test. Run those suites back to back in a single process as well.
-./build/bdsmaj_tests --gtest_filter='Exact.*:ExactPersist*:ExactSat*:ExactDecide*:Solver*:SolverTrajectory*:StrategyWide*:Rewrite*:Resyn2*:CompileCutFunction*'
+./build/bdsmaj_tests --gtest_filter='Exact.*:ExactPersist*:ExactSat*:ExactDecide*:Solver*:SolverTrajectory*:StrategyWide*:ConeCache*:Rewrite*:Resyn2*:CompileCutFunction*'
 
 echo "==> docs: CLI reference drift check"
 # docs/cli.md is generated from the binary's own --help/--list-presets
