@@ -28,7 +28,20 @@ private:
 
 /// Parse a BLIF document. Only combinational constructs are accepted;
 /// `.latch`, `.subckt` and `.gate` — and any malformed input — raise
-/// ParseError carrying the offending line number.
+/// ParseError carrying the offending line number. Besides the defects
+/// above, a signal both declared in `.inputs` and driven by a `.names`
+/// block is rejected in either order, and an off-set (output `0`) cover
+/// wider than tt::TruthTable::kMaxVars inputs is a diagnosed limit.
+///
+/// Node order: the primary inputs in declaration order, then each
+/// `.names` block once all its fanins are bound, sweeping the blocks in
+/// file order again and again — block i lands in sweep
+/// s(i) = max(1, max over fanin blocks j of s(j) + [j >= i]), and blocks
+/// of one sweep keep file order. A document in dependency order is one
+/// sweep, so its node ids follow the file. Parsing takes one pass over the
+/// text and time linear in its size, blocks out of order included, apart
+/// from complementing an off-set (output `0`) cover, which builds a truth
+/// table of 2^inputs bits for that block.
 [[nodiscard]] Network parse_blif(const std::string& text);
 
 /// Serialize to BLIF. Structured gates are emitted as equivalent `.names`

@@ -50,7 +50,7 @@ void Sop::add_cube(Cube cube) {
     cubes_.push_back(std::move(cube));
 }
 
-void Sop::add_pattern(const std::string& pattern) {
+void Sop::add_pattern(std::string_view pattern) {
     Cube cube;
     cube.lits.reserve(pattern.size());
     for (const char ch : pattern) {

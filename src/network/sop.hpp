@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tt/truth_table.hpp"
@@ -43,7 +44,7 @@ public:
     static Sop isop(const tt::TruthTable& on_set);
 
     void add_cube(Cube cube);
-    void add_pattern(const std::string& pattern);
+    void add_pattern(std::string_view pattern);
 
     [[nodiscard]] std::size_t arity() const noexcept { return arity_; }
     [[nodiscard]] const std::vector<Cube>& cubes() const noexcept { return cubes_; }

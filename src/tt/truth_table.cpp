@@ -19,7 +19,7 @@ std::size_t word_count(int num_vars) {
 }  // namespace
 
 TruthTable::TruthTable(int num_vars) : num_vars_(num_vars) {
-    if (num_vars < 0 || num_vars > 20) {
+    if (num_vars < 0 || num_vars > kMaxVars) {
         throw std::invalid_argument("TruthTable: num_vars out of [0,20]");
     }
     words_.assign(word_count(num_vars), 0);

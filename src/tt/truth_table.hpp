@@ -20,6 +20,9 @@ namespace bdsmaj::tt {
 
 class TruthTable {
 public:
+    /// Widest function a table holds (2^20 bits, 128 KiB).
+    static constexpr int kMaxVars = 20;
+
     TruthTable() = default;
 
     /// Constant-zero function of `num_vars` variables.
